@@ -23,7 +23,7 @@ use htc_graph::perturb::GroundTruth;
 use htc_graph::AttributedNetwork;
 use htc_linalg::ops::pearson_normalize_rows;
 use htc_linalg::{CsrMatrix, DenseMatrix};
-use htc_nn::{loss::reconstruction_loss_and_grad, Activation, Adam, GcnEncoder};
+use htc_nn::{loss::reconstruction_loss_and_grad, Activation, Adam, ForwardCache, GcnEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,6 +119,7 @@ impl Aligner for GAlign {
             (&aug_s, source.attributes()),
             (&aug_t, target.attributes()),
         ];
+        let mut cache = ForwardCache::new();
         for _ in 0..self.epochs {
             let mut grad_accum: Vec<DenseMatrix> = encoder
                 .weights()
@@ -126,8 +127,8 @@ impl Aligner for GAlign {
                 .map(|w| DenseMatrix::zeros(w.rows(), w.cols()))
                 .collect();
             for (prop, attrs) in &views {
-                let cache = encoder
-                    .forward_cached(prop, attrs)
+                encoder
+                    .forward_into(prop, attrs, &mut cache)
                     .map_err(|e| BaselineError::Numerical(e.to_string()))?;
                 let (_, grad_h) = reconstruction_loss_and_grad(prop, cache.output());
                 let grads = encoder

@@ -22,7 +22,7 @@ use htc_graph::perturb::GroundTruth;
 use htc_graph::AttributedNetwork;
 use htc_linalg::ops::l2_normalize_rows;
 use htc_linalg::DenseMatrix;
-use htc_nn::{loss::reconstruction_loss_and_grad, Activation, Adam, GcnEncoder};
+use htc_nn::{loss::reconstruction_loss_and_grad, Activation, Adam, ForwardCache, GcnEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,9 +61,10 @@ impl Pale {
         let dims = [attrs.cols(), self.embedding_dim, self.embedding_dim];
         let mut encoder = GcnEncoder::new(&dims, Activation::Tanh, &mut rng);
         let mut adam = Adam::for_parameters(self.learning_rate, encoder.weights());
+        let mut cache = ForwardCache::new();
         for _ in 0..self.epochs {
-            let cache = encoder
-                .forward_cached(&propagator, attrs)
+            encoder
+                .forward_into(&propagator, attrs, &mut cache)
                 .map_err(|e| BaselineError::Numerical(e.to_string()))?;
             let (_, grad_h) = reconstruction_loss_and_grad(&propagator, cache.output());
             let grads = encoder

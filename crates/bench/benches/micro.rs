@@ -83,6 +83,7 @@ fn bench_training_epoch(c: &mut Criterion) {
                 pair.source.attributes(),
                 pair.target.attributes(),
                 &config,
+                &mut |_, _| true,
             )
             .unwrap()
         });

@@ -55,19 +55,22 @@ impl TopologyMode {
 
 /// Memory regime the pipeline runs in.
 ///
-/// `Dense` is the paper-faithful path: full n×m per-orbit similarity
-/// matrices, full-batch training.  `Large` is the 100k+-node tier: the
-/// similarity layers stream row-blocks and retain only the
-/// [`top_k`](HtcConfig::top_k) candidates per source row (a
-/// [`TopKRows`](crate::topk::TopKRows) artifact), and training may run
-/// mini-batched via [`batch_size`](HtcConfig::batch_size).  Both tiers keep
-/// the seeded-determinism contract; `Large` trades exactness of the retained
-/// candidate *set* (not of any retained score) for O(n·k) memory.
+/// Fine-tuning streams row-blocked LISI sweeps in both tiers; the tier
+/// decides integration and training.  `Dense` is the paper-faithful path:
+/// integration materialises each orbit's full n×m LISI matrix (one orbit at
+/// a time) and the result is a dense alignment matrix; training is
+/// full-batch.  `Large` is the 100k+-node tier: integration merges the
+/// [`top_k`](HtcConfig::top_k) candidates per source row that fine-tuning
+/// retained (a [`TopKRows`](crate::topk::TopKRows) artifact), and training
+/// may run mini-batched via [`batch_size`](HtcConfig::batch_size).  Both
+/// tiers keep the seeded-determinism contract; `Large` trades exactness of
+/// the retained candidate *set* (not of any retained score) for O(n·k)
+/// memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleTier {
-    /// Dense n×m similarity matrices and full-batch training (the default).
+    /// Dense n×m alignment matrix and full-batch training (the default).
     Dense,
-    /// Blocked top-k similarity and (optionally) mini-batch training.
+    /// Top-k alignment artifact and (optionally) mini-batch training.
     Large,
 }
 
@@ -127,20 +130,16 @@ pub struct HtcConfig {
     /// Memory regime: dense paper-faithful matrices or the blocked top-k
     /// `Large` tier.  See [`ScaleTier`].
     pub scale: ScaleTier,
-    /// Candidates retained per source row by the blocked similarity layers
-    /// (only consulted when [`scale`](Self::scale) is [`ScaleTier::Large`];
-    /// must be ≥ 1 there).
+    /// Candidates retained per source row by the blocked similarity sweep
+    /// (must be ≥ 1).  Fine-tuning keeps the best iteration's top-k in every
+    /// tier; [`ScaleTier::Large`] integration merges them, while
+    /// [`ScaleTier::Dense`] integration recomputes the full ranking.
     pub top_k: usize,
     /// Mini-batch size for encoder training; 0 means full-batch.  Batches are
     /// processed strictly sequentially in a seeded deterministic order, so
     /// any value preserves the bit-identity contract across
     /// `HTC_NUM_THREADS`.
     pub batch_size: usize,
-    /// Memory budget (MiB) for caching pass-1 correlation blocks of the
-    /// blocked LISI sweep so pass 2 can skip recomputing their GEMMs.  Only
-    /// consulted in the `Large` tier; 0 disables the cache.  A pure
-    /// execution-strategy knob: results are bit-identical for every value.
-    pub sweep_cache_mb: usize,
 }
 
 impl Default for HtcConfig {
@@ -171,7 +170,6 @@ impl HtcConfig {
             scale: ScaleTier::Dense,
             top_k: 10,
             batch_size: 0,
-            sweep_cache_mb: 256,
         }
     }
 
@@ -207,7 +205,6 @@ impl HtcConfig {
             scale: ScaleTier::Dense,
             top_k: 10,
             batch_size: 0,
-            sweep_cache_mb: 256,
         }
     }
 
@@ -233,7 +230,6 @@ impl HtcConfig {
             scale: ScaleTier::Large,
             top_k: 10,
             batch_size: 4096,
-            sweep_cache_mb: 256,
         }
     }
 
@@ -304,10 +300,8 @@ impl HtcConfig {
             }
             TopologyMode::LowOrderOnly => {}
         }
-        if self.scale.is_large() && self.top_k == 0 {
-            return Err(HtcError::InvalidConfig(
-                "top_k must be positive in the Large scale tier".into(),
-            ));
+        if self.top_k == 0 {
+            return Err(HtcError::InvalidConfig("top_k must be positive".into()));
         }
         Ok(())
     }
@@ -360,7 +354,7 @@ impl HtcConfig {
     }
 
     /// Builder-style setter for the per-row candidate retention `k` of the
-    /// blocked similarity layers.
+    /// blocked similarity sweep.
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = k;
         self
@@ -370,13 +364,6 @@ impl HtcConfig {
     /// batch).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Builder-style setter for the blocked-sweep correlation-cache budget
-    /// (MiB; 0 disables the cache).
-    pub fn with_sweep_cache_mb(mut self, mb: usize) -> Self {
-        self.sweep_cache_mb = mb;
         self
     }
 }
@@ -418,11 +405,12 @@ mod tests {
 
     #[test]
     fn large_tier_requires_positive_top_k() {
-        let cfg = HtcConfig::large().with_top_k(0);
-        let err = cfg.validate().unwrap_err();
-        assert!(matches!(&err, HtcError::InvalidConfig(msg) if msg.contains("top_k")));
-        // Dense tier ignores top_k entirely, so 0 stays valid there.
-        assert!(HtcConfig::fast().with_top_k(0).validate().is_ok());
+        // Fine-tuning keeps a top-k artifact in every tier, so a zero
+        // retention is rejected in the dense tier as well.
+        for cfg in [HtcConfig::large(), HtcConfig::fast()] {
+            let err = cfg.with_top_k(0).validate().unwrap_err();
+            assert!(matches!(&err, HtcError::InvalidConfig(msg) if msg.contains("top_k")));
+        }
         // batch_size 0 (full batch) is valid in every tier.
         assert!(HtcConfig::large().with_batch_size(0).validate().is_ok());
     }

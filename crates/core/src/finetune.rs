@@ -2,12 +2,19 @@
 //!
 //! After training, each orbit's embeddings are refined independently:
 //!
-//! 1. compute the LISI alignment matrix for the current embeddings;
-//! 2. identify trusted pairs (mutual LISI arg-maxes) and count them;
+//! 1. evaluate LISI for the current embeddings with the blocked sweep
+//!    ([`lisi_topk`]), which never materialises the `n_s × n_t` matrix;
+//! 2. identify trusted pairs (mutual LISI arg-maxes, tracked exactly by the
+//!    sweep) and count them;
 //! 3. multiply the reinforcement factor of both ends of every trusted pair by
 //!    `β` (Eq. 13);
 //! 4. re-encode both graphs with the reinforced propagator `R L̃ R` (Eq. 14);
 //! 5. repeat until the trusted-pair count stops growing.
+//!
+//! The same sweep runs in every [`ScaleTier`](crate::ScaleTier): its trusted
+//! pairs equal the dense matrix's bit for bit, so the tier only decides what
+//! integration does afterwards (recompute the full ranking, or merge the
+//! retained top-k).
 //!
 //! Proposition 2 of the paper shows that boosting the aggregation
 //! coefficients of trusted anchors pulls the embeddings of their undiscovered
@@ -16,16 +23,18 @@
 
 use crate::config::HtcConfig;
 use crate::error::HtcError;
-use crate::lisi::{
-    default_block_rows, lisi_matrix_into, lisi_topk_with, trusted_pairs, BlockedLisiScratch,
-    LisiScratch, SweepControl, SweepStats,
-};
+use crate::lisi::{default_block_rows, lisi_topk, BlockedLisiScratch, SweepControl, SweepStats};
 use crate::session::ProgressObserver;
 use crate::topk::TopKRows;
 use crate::Result;
 use htc_linalg::{CsrMatrix, DenseMatrix};
 use htc_nn::{ForwardCache, GcnEncoder};
 use std::sync::Arc;
+
+/// Byte budget for caching pass-1 correlation blocks of each sweep so pass 2
+/// can skip their GEMMs.  A pure execution strategy: results are
+/// bit-identical for every budget.
+const SWEEP_CACHE_BYTES: usize = 256 << 20;
 
 /// The refined state of a single orbit after fine-tuning.
 #[derive(Debug, Clone)]
@@ -39,59 +48,37 @@ pub struct OrbitRefinement {
     pub trusted_count: usize,
     /// Number of refinement iterations actually executed.
     pub iterations: usize,
-    /// `Large` tier only: the top-k LISI candidates of the best iteration,
-    /// kept so weighted integration can consume them directly instead of
-    /// re-running a blocked similarity sweep per orbit.  `None` in the dense
-    /// tier (integration recomputes the full LISI matrix there, as before).
-    pub topk: Option<TopKRows>,
-    /// Accumulated GEMM-vs-selection breakdown over every blocked sweep this
-    /// refinement ran (all-zero in the dense tier).
+    /// The top-[`top_k`](HtcConfig::top_k) LISI candidates of the best
+    /// iteration.  `Large`-tier integration merges them directly instead of
+    /// re-running a similarity sweep per orbit.
+    pub topk: TopKRows,
+    /// Block counters accumulated over every sweep this refinement ran.
     pub sweep_stats: SweepStats,
 }
 
-/// Runs Algorithm 2 for one orbit with no observer (orbit index 0).
+/// Runs Algorithm 2 for one orbit.
 ///
-/// `lap_source` / `lap_target` are the orbit's normalised Laplacians;
-/// the encoder is the (already trained) shared encoder.  When
-/// `config.fine_tune` is `false` the function still computes the initial LISI
-/// matrix and trusted-pair count (needed for the posterior importance weights)
-/// but performs no reinforcement.
-pub fn refine_orbit(
-    encoder: &GcnEncoder,
-    lap_source: &CsrMatrix,
-    lap_target: &CsrMatrix,
-    source_attrs: &DenseMatrix,
-    target_attrs: &DenseMatrix,
-    config: &HtcConfig,
-) -> Result<OrbitRefinement> {
-    refine_orbit_observed(
-        encoder,
-        lap_source,
-        lap_target,
-        source_attrs,
-        target_attrs,
-        config,
-        0,
-        None,
-    )
-}
-
-/// [`refine_orbit`] with progress reporting and cooperative cancellation.
+/// `lap_source` / `lap_target` are the orbit's normalised Laplacians; the
+/// encoder is the (already trained) shared encoder.  When `config.fine_tune`
+/// is `false` the function still evaluates the initial LISI sweep and
+/// trusted-pair count (needed for the posterior importance weights) but
+/// performs no reinforcement.
 ///
-/// The observer's [`on_finetune_iteration`](ProgressObserver::on_finetune_iteration)
-/// fires once per refinement iteration with the orbit index and trusted-pair
-/// count; in the `Large` tier
-/// [`on_sweep_block`](ProgressObserver::on_sweep_block) additionally fires at
-/// row-block granularity inside each blocked sweep, so deadline observers can
-/// interrupt a multi-minute sweep mid-flight.  Both cancel with
-/// [`HtcError::Cancelled`] when they return `false`.
+/// `orbit` only labels observer events.  The observer's
+/// [`on_finetune_iteration`](ProgressObserver::on_finetune_iteration) fires
+/// once per refinement iteration with the trusted-pair count, and
+/// [`on_sweep_block`](ProgressObserver::on_sweep_block) fires at row-block
+/// granularity inside each sweep, so deadline observers can interrupt a
+/// long sweep mid-flight.  Both cancel with [`HtcError::Cancelled`] when
+/// they return `false`.
 ///
-/// The iteration loop is allocation-free after warm-up: forward passes reuse
-/// two [`ForwardCache`]s, the Eq. 14 reinforcement boost rescales into
-/// persistent boosted-Laplacian scratch (`scale_sym_into`), and the LISI
-/// buffers are shared across iterations.
+/// The large buffers are reused across iterations: forward passes reuse two
+/// [`ForwardCache`]s, the Eq. 14 reinforcement boost rescales into
+/// persistent boosted-Laplacian scratch (`scale_sym_into`), and every sweep
+/// shares one [`BlockedLisiScratch`]; only the per-row results (top-k,
+/// arg-maxes, trusted pairs) are allocated per iteration.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_orbit_observed(
+pub fn refine_orbit(
     encoder: &GcnEncoder,
     lap_source: &CsrMatrix,
     lap_target: &CsrMatrix,
@@ -101,8 +88,35 @@ pub fn refine_orbit_observed(
     orbit: usize,
     observer: Option<&Arc<dyn ProgressObserver>>,
 ) -> Result<OrbitRefinement> {
-    let mut reinforcement_source = vec![1.0; lap_source.rows()];
-    let mut reinforcement_target = vec![1.0; lap_target.rows()];
+    let sweep_progress = observer.map(|obs| {
+        let obs = Arc::clone(obs);
+        move |done: usize, total: usize| obs.on_sweep_block(done, total)
+    });
+    let control = SweepControl {
+        corr_cache_bytes: SWEEP_CACHE_BYTES,
+        chunks: None,
+        progress: sweep_progress
+            .as_ref()
+            .map(|f| f as &(dyn Fn(usize, usize) -> bool + Sync)),
+    };
+    let mut scratch = BlockedLisiScratch::new();
+    let mut sweep = |source: &DenseMatrix, target: &DenseMatrix| {
+        lisi_topk(
+            source,
+            target,
+            config.nearest_neighbors,
+            config.top_k,
+            default_block_rows(target.rows()),
+            &mut scratch,
+            &control,
+        )
+    };
+    let notify = |iteration: usize, trusted: usize| match observer {
+        Some(obs) if !obs.on_finetune_iteration(orbit, iteration, trusted) => {
+            Err(HtcError::Cancelled)
+        }
+        _ => Ok(()),
+    };
 
     // Reusable forward caches (one warm-up allocation per side) and
     // boosted-Laplacian scratch for the Eq. 14 re-encoding.
@@ -110,85 +124,29 @@ pub fn refine_orbit_observed(
     let mut target_cache = ForwardCache::new();
     let mut boosted_source = CsrMatrix::zeros(0, 0);
     let mut boosted_target = CsrMatrix::zeros(0, 0);
-
     encoder.forward_into(lap_source, source_attrs, &mut source_cache)?;
     encoder.forward_into(lap_target, target_attrs, &mut target_cache)?;
 
+    // Iteration 1 scores the trained embeddings as they are; it is the best
+    // iteration until a later one finds strictly more trusted pairs.
+    let first = sweep(source_cache.output(), target_cache.output())?;
+    let mut pairs = first.trusted_pairs();
+    notify(1, pairs.len())?;
+    let mut iterations = 1;
+    let mut best_count = pairs.len();
+    let mut best_topk = first.topk;
+    let mut sweep_stats = first.stats;
     let mut best_source = source_cache.output().clone();
     let mut best_target = target_cache.output().clone();
-    let mut best_count = 0usize;
-    let mut iterations = 0usize;
 
     let max_iters = if config.fine_tune {
-        config.max_finetune_iters.max(1)
+        config.max_finetune_iters
     } else {
         1
     };
-
-    // LISI buffers reused across refinement iterations (every iteration
-    // recomputes an n_s × n_t matrix — or, in the Large tier, a blocked
-    // top-k sweep — over the same shapes).
-    let large = config.scale.is_large();
-    let mut lisi_scratch = LisiScratch::new();
-    let mut lisi = DenseMatrix::zeros(0, 0);
-    let mut blocked_scratch = BlockedLisiScratch::new();
-    let mut best_topk: Option<TopKRows> = None;
-    let mut sweep_stats = SweepStats::default();
-
-    let sweep_progress = observer.map(|obs| {
-        let obs = Arc::clone(obs);
-        move |done: usize, total: usize| obs.on_sweep_block(done, total)
-    });
-    let control = SweepControl {
-        corr_cache_bytes: config.sweep_cache_mb.saturating_mul(1 << 20),
-        chunks: None,
-        progress: sweep_progress
-            .as_ref()
-            .map(|f| f as &(dyn Fn(usize, usize) -> bool + Sync)),
-    };
-
-    for _ in 0..max_iters {
-        iterations += 1;
-        let (pairs, iter_topk) = if large {
-            let blocked = lisi_topk_with(
-                source_cache.output(),
-                target_cache.output(),
-                config.nearest_neighbors,
-                config.top_k,
-                default_block_rows(target_cache.output().rows()),
-                &mut blocked_scratch,
-                &control,
-            )?;
-            sweep_stats.accumulate(&blocked.stats);
-            (blocked.trusted_pairs(), Some(blocked.topk))
-        } else {
-            lisi_matrix_into(
-                source_cache.output(),
-                target_cache.output(),
-                config.nearest_neighbors,
-                &mut lisi_scratch,
-                &mut lisi,
-            );
-            (trusted_pairs(&lisi), None)
-        };
-        let count = pairs.len();
-        if let Some(obs) = observer {
-            if !obs.on_finetune_iteration(orbit, iterations, count) {
-                return Err(HtcError::Cancelled);
-            }
-        }
-        if count <= best_count && iterations > 1 {
-            break;
-        }
-        if count > best_count || iterations == 1 {
-            best_count = count.max(best_count);
-            best_source.copy_from(source_cache.output());
-            best_target.copy_from(target_cache.output());
-            best_topk = iter_topk;
-        }
-        if !config.fine_tune {
-            break;
-        }
+    let mut reinforcement_source = vec![1.0; lap_source.rows()];
+    let mut reinforcement_target = vec![1.0; lap_target.rows()];
+    while iterations < max_iters {
         // Eq. 13: boost the reinforcement factors of both ends of each pair.
         for &(s, t) in &pairs {
             reinforcement_source[s] *= config.reinforcement_rate;
@@ -207,6 +165,19 @@ pub fn refine_orbit_observed(
         )?;
         encoder.forward_into(&boosted_source, source_attrs, &mut source_cache)?;
         encoder.forward_into(&boosted_target, target_attrs, &mut target_cache)?;
+
+        iterations += 1;
+        let blocked = sweep(source_cache.output(), target_cache.output())?;
+        sweep_stats.accumulate(&blocked.stats);
+        pairs = blocked.trusted_pairs();
+        notify(iterations, pairs.len())?;
+        if pairs.len() <= best_count {
+            break;
+        }
+        best_count = pairs.len();
+        best_topk = blocked.topk;
+        best_source.copy_from(source_cache.output());
+        best_target.copy_from(target_cache.output());
     }
 
     Ok(OrbitRefinement {
@@ -222,18 +193,36 @@ pub fn refine_orbit_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ScaleTier;
     use crate::laplacian::orbit_laplacians;
+    use crate::lisi::{lisi_matrix, trusted_pairs};
     use crate::training::train_multi_orbit;
     use htc_graph::Graph;
     use htc_orbits::{GomSet, GomWeighting};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    fn trained_setup() -> (
-        GcnEncoder,
-        Vec<CsrMatrix>,
-        Vec<CsrMatrix>,
-        DenseMatrix,
-        DenseMatrix,
-    ) {
+    /// A trained encoder over two copies of one small graph.
+    struct Setup {
+        encoder: GcnEncoder,
+        laps: Vec<CsrMatrix>,
+        xs: DenseMatrix,
+    }
+
+    impl Setup {
+        /// Refines orbit `k` (also the observer's orbit label).
+        fn refine(
+            &self,
+            k: usize,
+            config: &HtcConfig,
+            observer: Option<&Arc<dyn ProgressObserver>>,
+        ) -> Result<OrbitRefinement> {
+            let (lap, xs) = (&self.laps[k], &self.xs);
+            refine_orbit(&self.encoder, lap, lap, xs, xs, config, k, observer)
+        }
+    }
+
+    fn trained_setup() -> Setup {
         let g = Graph::from_edges(
             8,
             &[
@@ -259,15 +248,17 @@ mod tests {
             ],
         )
         .unwrap();
-        let model = train_multi_orbit(&laps, &laps, &xs, &xs, &HtcConfig::fast()).unwrap();
-        (model.encoder, laps.clone(), laps, xs.clone(), xs)
+        let model = train_multi_orbit(&laps, &laps, &xs, &xs, &HtcConfig::fast(), &mut |_, _| true);
+        Setup {
+            encoder: model.unwrap().encoder,
+            laps,
+            xs,
+        }
     }
 
     #[test]
     fn identical_graphs_yield_full_trusted_set() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
-        let config = HtcConfig::fast();
-        let refinement = refine_orbit(&encoder, &ls[0], &lt[0], &xs, &xt, &config).unwrap();
+        let refinement = trained_setup().refine(0, &HtcConfig::fast(), None).unwrap();
         // Two identical graphs with identical attributes: the bulk of the
         // nodes should form trusted pairs straight away (graph automorphisms
         // can tie a few of them).
@@ -285,62 +276,127 @@ mod tests {
 
     #[test]
     fn disabling_fine_tune_runs_single_iteration() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
         let mut config = HtcConfig::fast();
         config.fine_tune = false;
-        let refinement = refine_orbit(&encoder, &ls[1], &lt[1], &xs, &xt, &config).unwrap();
+        let refinement = trained_setup().refine(1, &config, None).unwrap();
         assert_eq!(refinement.iterations, 1);
         assert!(refinement.trusted_count > 0);
     }
 
     #[test]
     fn fine_tuning_never_reduces_the_reported_count() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
-        let with_ft = refine_orbit(&encoder, &ls[0], &lt[0], &xs, &xt, &HtcConfig::fast()).unwrap();
+        let setup = trained_setup();
+        let with_ft = setup.refine(0, &HtcConfig::fast(), None).unwrap();
         let mut no_ft_cfg = HtcConfig::fast();
         no_ft_cfg.fine_tune = false;
-        let without_ft = refine_orbit(&encoder, &ls[0], &lt[0], &xs, &xt, &no_ft_cfg).unwrap();
+        let without_ft = setup.refine(0, &no_ft_cfg, None).unwrap();
         assert!(with_ft.trusted_count >= without_ft.trusted_count);
+    }
+
+    /// Algorithm 2 as the dense tier used to run it: the full LISI matrix
+    /// and its mutual arg-maxes every iteration.  Returns the iteration
+    /// count, the best trusted count and the best embeddings.
+    fn dense_reference(
+        setup: &Setup,
+        k: usize,
+        config: &HtcConfig,
+    ) -> (usize, usize, DenseMatrix, DenseMatrix) {
+        let (encoder, lap, x) = (&setup.encoder, &setup.laps[k], &setup.xs);
+        let mut reinforce_s = vec![1.0; lap.rows()];
+        let mut reinforce_t = vec![1.0; lap.rows()];
+        let mut boosted = CsrMatrix::zeros(0, 0);
+        let mut hs = encoder.forward(lap, x).unwrap();
+        let mut ht = encoder.forward(lap, x).unwrap();
+        let (mut best_s, mut best_t) = (hs.clone(), ht.clone());
+        let (mut best_count, mut iterations) = (0, 0);
+        let max_iters = if config.fine_tune {
+            config.max_finetune_iters.max(1)
+        } else {
+            1
+        };
+        for _ in 0..max_iters {
+            iterations += 1;
+            let pairs = trusted_pairs(&lisi_matrix(&hs, &ht, config.nearest_neighbors));
+            if pairs.len() <= best_count && iterations > 1 {
+                break;
+            }
+            best_count = pairs.len();
+            best_s = hs.clone();
+            best_t = ht.clone();
+            if !config.fine_tune {
+                break;
+            }
+            for &(s, t) in &pairs {
+                reinforce_s[s] *= config.reinforcement_rate;
+                reinforce_t[t] *= config.reinforcement_rate;
+            }
+            lap.scale_sym_into(&reinforce_s, &reinforce_s, &mut boosted)
+                .unwrap();
+            hs = encoder.forward(&boosted, x).unwrap();
+            lap.scale_sym_into(&reinforce_t, &reinforce_t, &mut boosted)
+                .unwrap();
+            ht = encoder.forward(&boosted, x).unwrap();
+        }
+        (iterations, best_count, best_s, best_t)
+    }
+
+    #[test]
+    fn dense_tier_refinement_equals_dense_lisi_reference() {
+        let setup = trained_setup();
+        for fine_tune in [true, false] {
+            let mut config = HtcConfig::fast();
+            config.fine_tune = fine_tune;
+            for k in 0..setup.laps.len() {
+                let got = setup.refine(k, &config, None).unwrap();
+                let (iterations, count, best_s, best_t) = dense_reference(&setup, k, &config);
+                let what = format!("orbit {k}, fine_tune {fine_tune}");
+                assert_eq!(got.iterations, iterations, "{what}");
+                assert_eq!(got.trusted_count, count, "{what}");
+                assert!(got.source_embedding.approx_eq(&best_s, 0.0), "{what}");
+                assert!(got.target_embedding.approx_eq(&best_t, 0.0), "{what}");
+            }
+        }
     }
 
     #[test]
     fn large_tier_refinement_matches_dense_counts_and_keeps_topk() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
+        let setup = trained_setup();
         let dense_cfg = HtcConfig::fast();
         // Same hyper-parameters, Large tier with k covering every target:
-        // the blocked trusted-pair detection is exact, so counts and
-        // embeddings must match the dense run.
-        let large_cfg = dense_cfg
-            .clone()
-            .with_scale(crate::config::ScaleTier::Large)
-            .with_top_k(8);
-        let dense = refine_orbit(&encoder, &ls[0], &lt[0], &xs, &xt, &dense_cfg).unwrap();
-        let large = refine_orbit(&encoder, &ls[0], &lt[0], &xs, &xt, &large_cfg).unwrap();
+        // both tiers run the same sweep, so counts, embeddings and the
+        // retained candidates must match.
+        let large_cfg = dense_cfg.clone().with_scale(ScaleTier::Large).with_top_k(8);
+        let dense = setup.refine(0, &dense_cfg, None).unwrap();
+        let large = setup.refine(0, &large_cfg, None).unwrap();
         assert_eq!(dense.trusted_count, large.trusted_count);
         assert_eq!(dense.iterations, large.iterations);
         assert!(dense
             .source_embedding
             .approx_eq(&large.source_embedding, 0.0));
-        assert!(dense.topk.is_none());
-        let topk = large
-            .topk
-            .expect("large tier keeps the best iteration's top-k");
-        assert_eq!(topk.shape(), (8, 8));
+        // Every tier keeps the best iteration's top-k.
+        assert_eq!(dense.topk.shape(), (8, 8));
+        assert_eq!(large.topk.shape(), (8, 8));
+        for r in 0..8 {
+            let bits = |t: &TopKRows| -> Vec<(usize, u64)> {
+                t.row(r).map(|(c, v)| (c, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&dense.topk), bits(&large.topk), "row {r}");
+        }
     }
 
     /// Records every observer callback; cancels via `on_sweep_block` after a
     /// configurable number of blocks (`usize::MAX` = never).
     struct SweepRecorder {
-        iterations: std::sync::Mutex<Vec<(usize, usize, usize)>>,
-        blocks_seen: std::sync::atomic::AtomicUsize,
+        iterations: Mutex<Vec<(usize, usize, usize)>>,
+        blocks_seen: AtomicUsize,
         cancel_after_blocks: usize,
     }
 
     impl SweepRecorder {
         fn new(cancel_after_blocks: usize) -> Self {
             Self {
-                iterations: std::sync::Mutex::new(Vec::new()),
-                blocks_seen: std::sync::atomic::AtomicUsize::new(0),
+                iterations: Mutex::new(Vec::new()),
+                blocks_seen: AtomicUsize::new(0),
                 cancel_after_blocks,
             }
         }
@@ -356,31 +412,18 @@ mod tests {
         }
 
         fn on_sweep_block(&self, _done: usize, _total: usize) -> bool {
-            let seen = self
-                .blocks_seen
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                + 1;
+            let seen = self.blocks_seen.fetch_add(1, Ordering::Relaxed) + 1;
             seen < self.cancel_after_blocks
         }
     }
 
     #[test]
     fn observer_receives_per_iteration_trusted_counts() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
-        let config = HtcConfig::fast();
         let recorder = Arc::new(SweepRecorder::new(usize::MAX));
         let observer: Arc<dyn ProgressObserver> = recorder.clone();
-        let refinement = refine_orbit_observed(
-            &encoder,
-            &ls[0],
-            &lt[0],
-            &xs,
-            &xt,
-            &config,
-            3,
-            Some(&observer),
-        )
-        .unwrap();
+        let refinement = trained_setup()
+            .refine(3, &HtcConfig::fast(), Some(&observer))
+            .unwrap();
         let events = recorder.iterations.lock().unwrap().clone();
         assert_eq!(events.len(), refinement.iterations);
         for (i, &(orbit, iteration, _trusted)) in events.iter().enumerate() {
@@ -391,70 +434,47 @@ mod tests {
         assert!(events
             .iter()
             .any(|&(_, _, t)| t == refinement.trusted_count));
-        // Dense tier: no blocked sweeps, so no block events and zero stats.
+        // The dense tier sweeps too: 8 targets fit one row block, so every
+        // iteration runs one block per pass, and each block fires an event.
+        assert_eq!(refinement.sweep_stats.blocks, refinement.iterations);
         assert_eq!(
-            recorder
-                .blocks_seen
-                .load(std::sync::atomic::Ordering::Relaxed),
-            0
+            recorder.blocks_seen.load(Ordering::Relaxed),
+            2 * refinement.sweep_stats.blocks
         );
-        assert_eq!(refinement.sweep_stats, SweepStats::default());
     }
 
     #[test]
     fn large_tier_reports_sweep_stats_and_cancels_mid_sweep() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
-        let config = HtcConfig::fast()
-            .with_scale(crate::config::ScaleTier::Large)
-            .with_top_k(8);
-        // Uncancelled run: block events fire and stats accumulate.
-        let recorder = Arc::new(SweepRecorder::new(usize::MAX));
-        let observer: Arc<dyn ProgressObserver> = recorder.clone();
-        let refinement = refine_orbit_observed(
-            &encoder,
-            &ls[0],
-            &lt[0],
-            &xs,
-            &xt,
-            &config,
-            0,
-            Some(&observer),
-        )
-        .unwrap();
-        assert!(refinement.sweep_stats.blocks > 0);
-        assert!(
-            recorder
-                .blocks_seen
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 2 * refinement.sweep_stats.blocks
-        );
+        let setup = trained_setup();
+        for scale in [ScaleTier::Dense, ScaleTier::Large] {
+            let config = HtcConfig::fast().with_scale(scale).with_top_k(8);
+            // Uncancelled run: block events fire and stats accumulate.
+            let recorder = Arc::new(SweepRecorder::new(usize::MAX));
+            let observer: Arc<dyn ProgressObserver> = recorder.clone();
+            let refinement = setup.refine(0, &config, Some(&observer)).unwrap();
+            assert!(refinement.sweep_stats.blocks > 0, "{scale:?}");
+            assert!(
+                recorder.blocks_seen.load(Ordering::Relaxed) >= 2 * refinement.sweep_stats.blocks,
+                "{scale:?}"
+            );
 
-        // Cancelling from the second block event aborts mid-sweep with
-        // HtcError::Cancelled instead of waiting for an iteration boundary.
-        let canceller = Arc::new(SweepRecorder::new(2));
-        let observer: Arc<dyn ProgressObserver> = canceller.clone();
-        let err = refine_orbit_observed(
-            &encoder,
-            &ls[0],
-            &lt[0],
-            &xs,
-            &xt,
-            &config,
-            0,
-            Some(&observer),
-        )
-        .unwrap_err();
-        assert!(matches!(err, HtcError::Cancelled));
-        // The cancel fired before any iteration completed.
-        assert!(canceller.iterations.lock().unwrap().is_empty());
+            // Cancelling from the second block event aborts mid-sweep with
+            // HtcError::Cancelled instead of waiting for an iteration
+            // boundary.
+            let canceller = Arc::new(SweepRecorder::new(2));
+            let observer: Arc<dyn ProgressObserver> = canceller.clone();
+            let err = setup.refine(0, &config, Some(&observer)).unwrap_err();
+            assert!(matches!(err, HtcError::Cancelled), "{scale:?}");
+            // The cancel fired before any iteration completed.
+            assert!(canceller.iterations.lock().unwrap().is_empty(), "{scale:?}");
+        }
     }
 
     #[test]
     fn iteration_cap_is_respected() {
-        let (encoder, ls, lt, xs, xt) = trained_setup();
         let mut config = HtcConfig::fast();
         config.max_finetune_iters = 2;
-        let refinement = refine_orbit(&encoder, &ls[2], &lt[2], &xs, &xt, &config).unwrap();
+        let refinement = trained_setup().refine(2, &config, None).unwrap();
         assert!(refinement.iterations <= 2);
     }
 }

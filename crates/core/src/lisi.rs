@@ -13,6 +13,15 @@
 //! ```
 //!
 //! A *trusted pair* is a pair that are mutually each other's LISI arg-max.
+//!
+//! Two evaluations exist.  [`lisi_topk`] is the blocked, chunk-parallel
+//! sweep: it never materialises the `n_s × n_t` matrix, tracks the exact
+//! row/column arg-maxes (hence trusted pairs) and retains the top-k
+//! candidates per row.  It is the only engine inside trusted-pair
+//! fine-tuning, in every scale tier.  [`lisi_matrix`] materialises the full
+//! matrix; dense-tier integration needs it for each orbit's full ranking,
+//! and the tests use it as the reference the sweep must reproduce bit for
+//! bit.
 
 use crate::error::HtcError;
 use crate::topk::{TopKRows, TopKRowsBuilder};
@@ -23,112 +32,47 @@ use htc_linalg::ops::{
 use htc_linalg::parallel::parallel_scratch_map;
 use htc_linalg::DenseMatrix;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// Reusable buffers for the LISI computation.
-///
-/// Per orbit and per fine-tuning iteration the pipeline computes a fresh
-/// correlation and LISI matrix over the same shapes; one scratch instance
-/// held across iterations makes those computations allocation-free after
-/// warm-up and — crucially — avoids cloning both `n × d` embedding matrices
-/// per call just to normalise them.
-#[derive(Debug, Clone, Default)]
-pub struct LisiScratch {
-    /// Pearson-normalised copy of the source embeddings.
-    norm_source: DenseMatrix,
-    /// Pearson-normalised copy of the target embeddings.
-    norm_target: DenseMatrix,
-    /// The `n_s × n_t` correlation matrix.
-    corr: DenseMatrix,
-}
-
-impl LisiScratch {
-    /// Creates empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Full Pearson-correlation matrix between the rows of `source` and `target`.
 ///
 /// Rows are mean-centred and ℓ₂-normalised first, so the correlation matrix is
 /// a single `n_s × n_t` mat-mul.
 pub fn correlation_matrix(source: &DenseMatrix, target: &DenseMatrix) -> DenseMatrix {
-    let mut scratch = LisiScratch::new();
-    correlation_matrix_into(source, target, &mut scratch);
-    scratch.corr
+    let mut norm_source = source.clone();
+    let mut norm_target = target.clone();
+    pearson_normalize_rows(&mut norm_source);
+    pearson_normalize_rows(&mut norm_target);
+    norm_source
+        .matmul_transpose(&norm_target)
+        .expect("embedding dimensions match because the encoder is shared")
 }
 
-/// Like [`correlation_matrix`], but normalises into the scratch buffers
-/// (leaving `source` / `target` untouched and allocating nothing after
-/// warm-up) and leaves the result in `scratch.corr`.
-pub fn correlation_matrix_into<'a>(
-    source: &DenseMatrix,
-    target: &DenseMatrix,
-    scratch: &'a mut LisiScratch,
-) -> &'a DenseMatrix {
-    scratch.norm_source.copy_from(source);
-    scratch.norm_target.copy_from(target);
-    pearson_normalize_rows(&mut scratch.norm_source);
-    pearson_normalize_rows(&mut scratch.norm_target);
-    scratch
-        .norm_source
-        .matmul_transpose_into(&scratch.norm_target, &mut scratch.corr)
-        .expect("embedding dimensions match because the encoder is shared");
-    &scratch.corr
-}
-
-/// Computes the LISI score matrix (Eq. 11) from two embedding matrices.
+/// Computes the dense LISI score matrix (Eq. 11) from two embedding
+/// matrices — the full ranking dense-tier integration consumes, and the
+/// reference the blocked sweep ([`lisi_topk`]) is tested against.
 ///
 /// `m` is the neighbourhood size used by the hubness terms (Eq. 10).
 pub fn lisi_matrix(source: &DenseMatrix, target: &DenseMatrix, m: usize) -> DenseMatrix {
-    let mut scratch = LisiScratch::new();
-    let mut out = DenseMatrix::zeros(0, 0);
-    lisi_matrix_into(source, target, m, &mut scratch, &mut out);
-    out
+    lisi_from_correlation(&correlation_matrix(source, target), m)
 }
 
-/// Like [`lisi_matrix`], but reuses scratch buffers and writes the LISI
-/// matrix into `out` (resized as needed) — the allocation-free path used by
-/// the per-orbit fine-tuning loop.
-pub fn lisi_matrix_into(
-    source: &DenseMatrix,
-    target: &DenseMatrix,
-    m: usize,
-    scratch: &mut LisiScratch,
-    out: &mut DenseMatrix,
-) {
-    correlation_matrix_into(source, target, scratch);
-    lisi_from_correlation_into(&scratch.corr, m, out);
-}
-
-/// Computes LISI given an already-materialised correlation matrix.
+/// Computes LISI given an already-materialised correlation matrix.  The
+/// scale-by-2 and hubness-subtraction passes are fused into a single
+/// traversal of the correlation matrix; the per-row sweep is the
+/// ISA-dispatched `lisi_combine` kernel from `htc_linalg::kernels` (explicit
+/// SIMD where supported, bit-identical to the scalar loop on every ISA).
 pub fn lisi_from_correlation(corr: &DenseMatrix, m: usize) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(0, 0);
-    lisi_from_correlation_into(corr, m, &mut out);
-    out
-}
-
-/// Like [`lisi_from_correlation`], but writes into `out` (resized as
-/// needed).  The scale-by-2 and hubness-subtraction passes are fused into a
-/// single traversal of the correlation matrix instead of a `scale` allocation
-/// followed by a second full sweep; the per-row sweep is the ISA-dispatched
-/// `lisi_combine` kernel from `htc_linalg::kernels` (explicit SIMD where
-/// supported, bit-identical to the scalar loop on every ISA).
-pub fn lisi_from_correlation_into(corr: &DenseMatrix, m: usize, out: &mut DenseMatrix) {
     let m = m.max(1);
     // D_t(h_s): mean similarity of each source node to its m nearest targets.
     let hub_source = row_top_k_means(corr, m);
     // D_s(h_t): mean similarity of each target node to its m nearest sources.
     let hub_target = col_top_k_means(corr, m);
-    // Shape only — every element of every row is written by the combine
-    // kernel below (one hub_source entry per corr row, full-width sweep).
-    out.resize_for_overwrite(corr.rows(), corr.cols());
+    let mut out = DenseMatrix::zeros(corr.rows(), corr.cols());
     let combine = htc_linalg::kernels::active().lisi_combine;
     for (r, &penalty_r) in hub_source.iter().enumerate() {
-        let row = out.row_mut(r);
-        combine(corr.row(r), &hub_target, penalty_r, row);
+        combine(corr.row(r), &hub_target, penalty_r, out.row_mut(r));
     }
+    out
 }
 
 /// Identifies trusted pairs: mutual arg-maxes of the LISI matrix (Eq. 12).
@@ -136,7 +80,7 @@ pub fn trusted_pairs(lisi: &DenseMatrix) -> Vec<(usize, usize)> {
     mutual_argmax_pairs(lisi)
 }
 
-/// Controls the chunk-parallel blocked sweep of [`lisi_topk_with`]:
+/// Controls the chunk-parallel blocked sweep of [`lisi_topk`]:
 /// correlation-block caching budget, an explicit chunk-count override, and a
 /// cooperative progress / cancellation callback.
 #[derive(Default)]
@@ -154,19 +98,13 @@ pub struct SweepControl<'a> {
     /// Invoked after every processed block with `(blocks_done, total_blocks)`
     /// (both passes counted).  Returning `false` cancels the sweep
     /// cooperatively: in-flight blocks finish, no further blocks start, and
-    /// [`lisi_topk_with`] returns [`HtcError::Cancelled`].
+    /// [`lisi_topk`] returns [`HtcError::Cancelled`].
     pub progress: Option<&'a (dyn Fn(usize, usize) -> bool + Sync)>,
 }
 
-/// Kernel-level breakdown of one blocked sweep.  Seconds are CPU-seconds
-/// summed across chunks, so they exceed wall time when chunks run in
-/// parallel.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Work counters of one blocked sweep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Time spent in correlation GEMMs (including source-block staging).
-    pub gemm_seconds: f64,
-    /// Time spent in streaming selection (hubness, combine, arg-max, top-k).
-    pub select_seconds: f64,
     /// Row blocks per pass.
     pub blocks: usize,
     /// Blocks whose pass-1 correlation was cached and reused by pass 2.
@@ -177,8 +115,6 @@ impl SweepStats {
     /// Adds another sweep's totals into this one (per-iteration
     /// accumulation in the fine-tuning loop).
     pub fn accumulate(&mut self, other: &SweepStats) {
-        self.gemm_seconds += other.gemm_seconds;
-        self.select_seconds += other.select_seconds;
         self.blocks += other.blocks;
         self.cached_blocks += other.cached_blocks;
     }
@@ -191,7 +127,7 @@ impl SweepStats {
 pub struct BlockedLisi {
     /// Top-k retained LISI candidates per source row.
     pub topk: TopKRows,
-    /// GEMM-vs-selection timing breakdown of the sweep that produced this.
+    /// Block counters of the sweep that produced this.
     pub stats: SweepStats,
     /// Exact arg-max of every (conceptual) LISI row.
     row_best: Vec<usize>,
@@ -279,46 +215,24 @@ pub fn default_block_rows(target_nodes: usize) -> usize {
     ((1 << 20) / target_nodes.max(1)).clamp(16, 4096)
 }
 
-/// Blocked, top-k-retaining LISI evaluation (Eq. 9–11) — the `Large`-tier
-/// replacement for [`lisi_matrix_into`].  Never materialises the `n_s × n_t`
-/// matrix: peak additional memory is one `block_rows × n_t` correlation
-/// block plus O(n_t · m) of per-column hubness state.
+/// Blocked, top-k-retaining LISI evaluation (Eq. 9–11) — the similarity
+/// engine of trusted-pair fine-tuning in every scale tier.  Never
+/// materialises the `n_s × n_t` matrix: peak additional memory is one
+/// `block_rows × n_t` correlation block per chunk (plus whatever pass-1
+/// blocks [`SweepControl::corr_cache_bytes`] lets it keep) and O(n_t · m) of
+/// per-column hubness state.
 ///
-/// The result is **bit-identical** to the dense path wherever the two
-/// overlap: every retained score equals the corresponding dense LISI entry
-/// bit-for-bit, and the row/column arg-maxes (hence trusted pairs) match
-/// exactly.  This holds because each correlation block is the same GEMM
-/// (identical per-element accumulation order) on the same normalised rows,
-/// the per-column hubness statistic replays the dense `top_k_mean` insertion
-/// sequence via [`top_k_push`], and the per-row combine uses the same
-/// ISA-dispatched `lisi_combine` kernel.
+/// The result is **bit-identical** to the dense [`lisi_matrix`] wherever the
+/// two overlap: every retained score equals the corresponding dense LISI
+/// entry bit-for-bit, and the row/column arg-maxes (hence trusted pairs)
+/// match exactly.  This holds because each correlation block is the same
+/// GEMM (identical per-element accumulation order) on the same normalised
+/// rows, the per-column hubness statistic replays the dense `top_k_mean`
+/// insertion sequence via [`top_k_push`], and the per-row combine uses the
+/// same ISA-dispatched `lisi_combine` kernel.
 ///
 /// Two passes over the correlation blocks are required — the hubness terms
 /// need global column statistics before any LISI value can be finalised.
-/// This wrapper runs [`lisi_topk_with`] with default controls (no
-/// correlation cache, chunk count from the thread pool, no cancellation).
-pub fn lisi_topk(
-    source: &DenseMatrix,
-    target: &DenseMatrix,
-    m: usize,
-    k: usize,
-    block_rows: usize,
-    scratch: &mut BlockedLisiScratch,
-) -> BlockedLisi {
-    lisi_topk_with(
-        source,
-        target,
-        m,
-        k,
-        block_rows,
-        scratch,
-        &SweepControl::default(),
-    )
-    .expect("an uncancellable sweep cannot fail")
-}
-
-/// Chunk-parallel blocked LISI sweep.
-///
 /// The row blocks are partitioned into contiguous ascending chunks — one per
 /// worker thread unless [`SweepControl::chunks`] overrides — and both passes
 /// fan the chunks across the persistent thread pool.  Each chunk streams its
@@ -342,7 +256,7 @@ pub fn lisi_topk(
 /// Chunk boundaries therefore never influence a result bit: the output is
 /// identical across `HTC_NUM_THREADS`, chunk-count overrides, and the dense
 /// path wherever they overlap (test-enforced).
-pub fn lisi_topk_with(
+pub fn lisi_topk(
     source: &DenseMatrix,
     target: &DenseMatrix,
     m: usize,
@@ -452,15 +366,13 @@ pub fn lisi_topk_with(
         idx.resize(n_t, 0);
         let scan_gt = htc_linalg::kernels::active().scan_gt;
         let d = norm_source.cols();
-        let (mut gemm_s, mut select_s, mut cached) = (0.0f64, 0.0f64, 0usize);
-        let mut cache_used = 0usize;
+        let (mut cached, mut cache_used) = (0usize, 0usize);
         for (local_b, b) in (b_lo..b_hi).enumerate() {
             if cancelled.load(Ordering::Relaxed) {
                 break;
             }
             let r0 = b * block_rows;
             let r1 = (r0 + block_rows).min(n_s);
-            let t0 = Instant::now();
             let src = &mut source_blocks[local_b];
             src.resize_for_overwrite(r1 - r0, d);
             for (i, r) in (r0..r1).enumerate() {
@@ -477,8 +389,6 @@ pub fn lisi_topk_with(
             };
             src.matmul_transpose_into(norm_target, out)
                 .expect("embedding dimensions match because the encoder is shared");
-            gemm_s += t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
             for (i, r) in (r0..r1).enumerate() {
                 let row = out.row(i);
                 hub_rows[r - chunk_r0] = top_k_mean(row, m);
@@ -492,16 +402,11 @@ pub fn lisi_topk_with(
                     col_gate[c] = top_k_gate(&col_top[c], col_k);
                 }
             }
-            select_s += t1.elapsed().as_secs_f64();
             tick(());
         }
-        (gemm_s, select_s, cached)
+        cached
     });
-    for (gemm_s, select_s, cached) in pass1 {
-        stats.gemm_seconds += gemm_s;
-        stats.select_seconds += select_s;
-        stats.cached_blocks += cached;
-    }
+    stats.cached_blocks = pass1.into_iter().sum();
     if cancelled.load(Ordering::Relaxed) {
         return Err(HtcError::Cancelled);
     }
@@ -559,14 +464,12 @@ pub fn lisi_topk_with(
         let kernels = htc_linalg::kernels::active();
         let mut row_best = vec![0usize; chunk_rows];
         let mut builder = TopKRowsBuilder::new(n_t, k);
-        let (mut gemm_s, mut select_s) = (0.0f64, 0.0f64);
         for (local_b, b) in (b_lo..b_hi).enumerate() {
             if cancelled.load(Ordering::Relaxed) {
                 return None;
             }
             let r0 = b * block_rows;
             let r1 = (r0 + block_rows).min(n_s);
-            let t0 = Instant::now();
             if !corr_cached[local_b] {
                 source_blocks[local_b]
                     .matmul_transpose_into(norm_target, corr_block)
@@ -577,8 +480,6 @@ pub fn lisi_topk_with(
             } else {
                 corr_block
             };
-            gemm_s += t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
             for (i, r) in (r0..r1).enumerate() {
                 let local_r = r - chunk_r0;
                 row_best[local_r] = (kernels.lisi_combine_argmax)(
@@ -597,10 +498,9 @@ pub fn lisi_topk_with(
                 }
                 builder.push_row(lisi_row);
             }
-            select_s += t1.elapsed().as_secs_f64();
             tick(());
         }
-        Some((row_best, builder, gemm_s, select_s))
+        Some((row_best, builder))
     });
 
     // Merge in ascending chunk order: row arg-maxes and builders concatenate;
@@ -608,13 +508,11 @@ pub fn lisi_topk_with(
     let mut row_best = Vec::with_capacity(n_s);
     let mut builder = TopKRowsBuilder::new(n_t, k);
     for slot in pass2 {
-        let Some((chunk_best, chunk_builder, gemm_s, select_s)) = slot else {
+        let Some((chunk_best, chunk_builder)) = slot else {
             return Err(HtcError::Cancelled);
         };
         row_best.extend(chunk_best);
         builder.append(&chunk_builder);
-        stats.gemm_seconds += gemm_s;
-        stats.select_seconds += select_s;
     }
     if cancelled.load(Ordering::Relaxed) {
         return Err(HtcError::Cancelled);
@@ -727,7 +625,8 @@ mod tests {
         // k >= n_t: every candidate retained, so the blocked artifact must
         // reproduce the dense matrix exactly — including across an uneven
         // block split (7 does not divide 23).
-        let blocked = lisi_topk(&hs, &ht, m, 17, 7, &mut scratch);
+        let blocked =
+            lisi_topk(&hs, &ht, m, 17, 7, &mut scratch, &SweepControl::default()).unwrap();
         assert_eq!(blocked.topk.shape(), dense.shape());
         for r in 0..23 {
             for (c, v) in blocked.topk.row(r) {
@@ -751,7 +650,7 @@ mod tests {
         let ht = random_embedding(40, 4, 22);
         let dense = lisi_matrix(&hs, &ht, 3);
         let mut scratch = BlockedLisiScratch::new();
-        let blocked = lisi_topk(&hs, &ht, 3, 5, 4, &mut scratch);
+        let blocked = lisi_topk(&hs, &ht, 3, 5, 4, &mut scratch, &SweepControl::default()).unwrap();
         // Retention truncates the candidate *set*, never perturbs a score,
         // and the tracked arg-maxes stay exact (full-width).
         for r in 0..15 {
@@ -785,14 +684,15 @@ mod tests {
 
     #[test]
     fn chunked_sweep_is_invariant_to_chunk_count_and_cache() {
-        // The determinism contract of `lisi_topk_with`: chunk partitioning
+        // The determinism contract of `lisi_topk`: chunk partitioning
         // and correlation caching are pure execution strategies — every
         // combination must produce the same bits.  Block height 3 over 26
         // rows gives 9 blocks, so chunk counts 2/3/5 all split unevenly.
         let hs = random_embedding(26, 5, 31);
         let ht = random_embedding(19, 5, 32);
         let mut scratch = BlockedLisiScratch::new();
-        let reference = lisi_topk(&hs, &ht, 3, 6, 3, &mut scratch);
+        let reference =
+            lisi_topk(&hs, &ht, 3, 6, 3, &mut scratch, &SweepControl::default()).unwrap();
         let reference = sweep_fingerprint(&reference);
         for chunks in [1usize, 2, 3, 5, 9] {
             for cache_bytes in [0usize, 4096, usize::MAX] {
@@ -801,7 +701,7 @@ mod tests {
                     chunks: Some(chunks),
                     progress: None,
                 };
-                let got = lisi_topk_with(&hs, &ht, 3, 6, 3, &mut scratch, &control).unwrap();
+                let got = lisi_topk(&hs, &ht, 3, 6, 3, &mut scratch, &control).unwrap();
                 assert_eq!(
                     sweep_fingerprint(&got),
                     reference,
@@ -833,7 +733,7 @@ mod tests {
             chunks: Some(2),
             progress: Some(&observe),
         };
-        lisi_topk_with(&hs, &ht, 2, 5, 4, &mut scratch, &control).unwrap();
+        lisi_topk(&hs, &ht, 2, 5, 4, &mut scratch, &control).unwrap();
         assert_eq!(ticks.load(Ordering::Relaxed), 10);
 
         // Cancelling after the third tick aborts with HtcError::Cancelled.
@@ -845,7 +745,7 @@ mod tests {
             chunks: Some(2),
             progress: Some(&cancel_after_3),
         };
-        let err = lisi_topk_with(&hs, &ht, 2, 5, 4, &mut scratch, &control).unwrap_err();
+        let err = lisi_topk(&hs, &ht, 2, 5, 4, &mut scratch, &control).unwrap_err();
         assert!(matches!(err, crate::error::HtcError::Cancelled));
         // Cancellation is cooperative at block granularity: no further
         // blocks start, so the observer fires at most once more per chunk.
@@ -874,7 +774,7 @@ mod tests {
                 chunks: Some(chunks),
                 progress: None,
             };
-            let blocked = lisi_topk_with(&hs, &ht, m, nt, block, &mut scratch, &control).unwrap();
+            let blocked = lisi_topk(&hs, &ht, m, nt, block, &mut scratch, &control).unwrap();
             prop_assert_eq!(blocked.topk.num_candidates(), ns * nt);
             for r in 0..ns {
                 for (c, v) in blocked.topk.row(r) {

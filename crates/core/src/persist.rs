@@ -514,7 +514,7 @@ mod tests {
     use super::*;
     use crate::config::HtcConfig;
     use crate::session::{Propagators, TopologyViews};
-    use crate::training::train_single_graph_observed;
+    use crate::training::train_single_graph;
     use htc_graph::{AttributedNetwork, Graph};
 
     fn artifact_path(name: &str) -> std::path::PathBuf {
@@ -539,7 +539,7 @@ mod tests {
         let config = HtcConfig::fast();
         let views = TopologyViews::build(&network, &config);
         let props = Propagators::build(&views);
-        let model = train_single_graph_observed(
+        let model = train_single_graph(
             props.laplacians(),
             network.attributes(),
             &config,
@@ -702,7 +702,7 @@ mod tests {
         let views_bytes = std::fs::read(&views_path).unwrap();
 
         let props = Propagators::build(&views);
-        let model = train_single_graph_observed(
+        let model = train_single_graph(
             props.laplacians(),
             network.attributes(),
             &config,

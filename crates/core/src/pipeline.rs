@@ -22,12 +22,6 @@ pub mod stages {
     pub const TRAINING: &str = "multi-orbit-aware training";
     /// Trusted-pair based fine-tuning stage.
     pub const FINE_TUNING: &str = "trusted-pair fine-tuning";
-    /// Kernel-level breakdown of fine-tuning (`Large` tier): CPU-seconds the
-    /// blocked sweeps spent in correlation GEMMs, summed across chunks.
-    pub const FINE_TUNING_GEMM: &str = "fine-tuning: correlation gemm (cpu)";
-    /// Kernel-level breakdown of fine-tuning (`Large` tier): CPU-seconds the
-    /// blocked sweeps spent in streaming selection, summed across chunks.
-    pub const FINE_TUNING_SELECT: &str = "fine-tuning: streaming selection (cpu)";
     /// Weighted integration stage.
     pub const INTEGRATION: &str = "weighted integration";
 }
@@ -200,7 +194,7 @@ impl HtcAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TopologyMode;
+    use crate::config::{ScaleTier, TopologyMode};
     use crate::error::HtcError;
     use htc_datasets::{generate_pair, SyntheticPairConfig};
     use htc_metrics::AlignmentReport;
@@ -367,6 +361,31 @@ mod tests {
                 retained += 1;
             }
             assert_eq!(retained, 14, "k = n_t retains the whole row");
+        }
+    }
+
+    #[test]
+    fn timer_holds_exactly_the_five_paper_stages_in_both_tiers() {
+        // Wall-clock totals must not count fine-tuning twice: no tier adds
+        // pseudo-stages next to the five stages of Fig. 8.
+        let pair = tiny_pair();
+        let paper_stages = [
+            stages::ORBIT_COUNTING,
+            stages::LAPLACIAN,
+            stages::TRAINING,
+            stages::FINE_TUNING,
+            stages::INTEGRATION,
+        ];
+        for scale in [ScaleTier::Dense, ScaleTier::Large] {
+            let config = HtcConfig::fast().with_scale(scale).with_top_k(5);
+            let result = HtcAligner::new(config)
+                .align(&pair.source, &pair.target)
+                .unwrap();
+            let timer = result.timer();
+            let names: Vec<&str> = timer.stages().map(|(name, _)| name).collect();
+            assert_eq!(names, paper_stages, "{scale:?}");
+            let sum: std::time::Duration = paper_stages.iter().map(|s| timer.duration(s)).sum();
+            assert_eq!(timer.total(), sum, "{scale:?}");
         }
     }
 

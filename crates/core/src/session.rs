@@ -44,13 +44,13 @@
 use crate::config::{HtcConfig, TopologyMode};
 use crate::diffusion::diffusion_propagators;
 use crate::error::HtcError;
-use crate::finetune::{refine_orbit_observed, OrbitRefinement};
+use crate::finetune::{refine_orbit, OrbitRefinement};
 use crate::integrate::{orbit_importance, AlignmentAccumulator, TopKAccumulator};
 use crate::laplacian::{normalized_adjacency, orbit_laplacians};
 use crate::lisi::lisi_matrix;
 use crate::persist;
 use crate::pipeline::{stages, AlignmentArtifact, HtcResult};
-use crate::training::{train_multi_orbit_observed, train_single_graph_observed, TrainedModel};
+use crate::training::{train_multi_orbit, train_single_graph, TrainedModel};
 use crate::Result;
 use htc_graph::AttributedNetwork;
 use htc_linalg::parallel::parallel_task_map;
@@ -107,7 +107,7 @@ pub trait ProgressObserver: Send + Sync {
         true
     }
 
-    /// The blocked LISI sweep of a `Large`-tier refinement finished one row
+    /// The blocked LISI sweep of a fine-tuning refinement finished one row
     /// block (`_done` of `_total`, counting both passes of the current
     /// sweep).  Return `false` to cancel — this is the finest-grained
     /// cancellation point, so deadlines interrupt a multi-minute sweep
@@ -756,7 +756,7 @@ impl AlignmentSession {
         let source = &self.source;
         let config = &self.config;
         let (model, _) = run_stage(observer.as_ref(), &mut self.timer, stages::TRAINING, || {
-            train_single_graph_observed(
+            train_single_graph(
                 props.laplacians(),
                 source.attributes(),
                 config,
@@ -966,7 +966,6 @@ fn align_with_shared_encoder(
             observer,
         )
     })?;
-    record_sweep_breakdown(&mut timer, &refinements);
 
     let trusted_counts: Vec<usize> = refinements.iter().map(|r| r.trusted_count).collect();
     let gamma = orbit_importance(&trusted_counts);
@@ -1020,7 +1019,7 @@ fn refine_all_orbits(
         "both graphs must expose the same number of topological views"
     );
     parallel_task_map(source_laps.len(), |k| {
-        refine_orbit_observed(
+        refine_orbit(
             encoder,
             &source_laps[k],
             &target_laps[k],
@@ -1035,30 +1034,11 @@ fn refine_all_orbits(
     .collect()
 }
 
-/// Folds every refinement's accumulated sweep breakdown into the timer as
-/// CPU-second pseudo-stages (only when the `Large` tier actually swept).
-fn record_sweep_breakdown(timer: &mut StageTimer, refinements: &[OrbitRefinement]) {
-    let mut total = crate::lisi::SweepStats::default();
-    for refinement in refinements {
-        total.accumulate(&refinement.sweep_stats);
-    }
-    if total.blocks > 0 {
-        timer.record(
-            stages::FINE_TUNING_GEMM,
-            Duration::from_secs_f64(total.gemm_seconds.max(0.0)),
-        );
-        timer.record(
-            stages::FINE_TUNING_SELECT,
-            Duration::from_secs_f64(total.select_seconds.max(0.0)),
-        );
-    }
-}
-
 /// Stage 5, dispatching on the configured scale tier: the dense weighted
 /// accumulation below, or — in the `Large` tier — a gamma-weighted merge of
-/// the top-k artifacts each refinement already produced during its best
-/// iteration (no additional similarity sweep; the `n_s × n_t` matrix is
-/// never materialised).
+/// the top-k artifacts each refinement kept from its best iteration (no
+/// additional similarity sweep; the `n_s × n_t` matrix is never
+/// materialised).
 fn integrate_refinements_artifact(
     config: &HtcConfig,
     refinements: &[OrbitRefinement],
@@ -1069,14 +1049,9 @@ fn integrate_refinements_artifact(
     if config.scale.is_large() {
         let mut accum = TopKAccumulator::new(source_nodes, target_nodes, config.top_k);
         for (refinement, &weight) in refinements.iter().zip(gamma) {
-            if weight == 0.0 {
-                continue;
+            if weight != 0.0 {
+                accum.add_weighted(&refinement.topk, weight);
             }
-            let topk = refinement
-                .topk
-                .as_ref()
-                .expect("Large-tier refinements carry their top-k artifact");
-            accum.add_weighted(topk, weight);
         }
         AlignmentArtifact::TopK(accum.finish())
     } else {
@@ -1090,9 +1065,10 @@ fn integrate_refinements_artifact(
     }
 }
 
-/// Stage 5 (dense tier): per-orbit LISI matrices across the pool, then the
-/// weighted accumulation sequentially in orbit order (bit-identical for every
-/// thread count).
+/// Stage 5 (dense tier): each orbit's full LISI matrix, computed and
+/// accumulated one orbit at a time in orbit order, so only one `n_s × n_t`
+/// matrix is live besides the accumulator (the kernels inside parallelise;
+/// bits are identical for every thread count).
 fn integrate_refinements(
     refinements: &[OrbitRefinement],
     gamma: &[f64],
@@ -1100,20 +1076,15 @@ fn integrate_refinements(
     target_nodes: usize,
     nearest_neighbors: usize,
 ) -> DenseMatrix {
-    let per_orbit: Vec<Option<DenseMatrix>> = parallel_task_map(refinements.len(), |k| {
-        if gamma[k] == 0.0 {
-            return None;
-        }
-        Some(lisi_matrix(
-            &refinements[k].source_embedding,
-            &refinements[k].target_embedding,
-            nearest_neighbors,
-        ))
-    });
     let mut accum = AlignmentAccumulator::new(source_nodes, target_nodes);
-    for (m_k, &weight) in per_orbit.iter().zip(gamma) {
-        if let Some(m_k) = m_k {
-            accum.add_weighted(m_k, weight);
+    for (refinement, &weight) in refinements.iter().zip(gamma) {
+        if weight != 0.0 {
+            let lisi = lisi_matrix(
+                &refinement.source_embedding,
+                &refinement.target_embedding,
+                nearest_neighbors,
+            );
+            accum.add_weighted(&lisi, weight);
         }
     }
     accum.finish()
@@ -1253,7 +1224,7 @@ impl<'s> PairAlignment<'s> {
         let target_attrs = self.target.attributes();
         let config = &self.session.config;
         let (model, _) = run_stage(observer.as_ref(), &mut self.timer, stages::TRAINING, || {
-            train_multi_orbit_observed(
+            train_multi_orbit(
                 source_props.laplacians(),
                 target_props.laplacians(),
                 source_attrs,
@@ -1300,7 +1271,6 @@ impl<'s> PairAlignment<'s> {
                 observer,
             )
         })?;
-        record_sweep_breakdown(&mut self.timer, &refinements);
         self.refinements = Some(OrbitRefinements { refinements });
         Ok(())
     }

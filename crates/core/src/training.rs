@@ -42,28 +42,10 @@ pub struct TrainedModel {
 ///
 /// `source_laplacians` and `target_laplacians` must have the same length (one
 /// propagator per topological view) and the two attribute matrices must share
-/// their column dimension.
+/// their column dimension.  `on_epoch(epoch, total_loss)` runs after every
+/// epoch; returning `false` cancels the run cooperatively with
+/// [`HtcError::Cancelled`] (pass `&mut |_, _| true` to run to completion).
 pub fn train_multi_orbit(
-    source_laplacians: &[CsrMatrix],
-    target_laplacians: &[CsrMatrix],
-    source_attrs: &DenseMatrix,
-    target_attrs: &DenseMatrix,
-    config: &HtcConfig,
-) -> Result<TrainedModel> {
-    train_multi_orbit_observed(
-        source_laplacians,
-        target_laplacians,
-        source_attrs,
-        target_attrs,
-        config,
-        &mut |_, _| true,
-    )
-}
-
-/// Like [`train_multi_orbit`], but invokes `on_epoch(epoch, total_loss)`
-/// after every epoch.  Returning `false` from the callback cancels the run
-/// cooperatively with [`HtcError::Cancelled`].
-pub fn train_multi_orbit_observed(
     source_laplacians: &[CsrMatrix],
     target_laplacians: &[CsrMatrix],
     source_attrs: &DenseMatrix,
@@ -98,8 +80,8 @@ pub fn train_multi_orbit_observed(
 ///
 /// Each epoch makes one pass per view (not the doubled source/target sweep of
 /// [`train_multi_orbit`]), so an epoch costs half as much as the pairwise
-/// equivalent.
-pub fn train_single_graph_observed(
+/// equivalent.  `on_epoch` behaves as in [`train_multi_orbit`].
+pub fn train_single_graph(
     laplacians: &[CsrMatrix],
     attrs: &DenseMatrix,
     config: &HtcConfig,
@@ -197,7 +179,7 @@ fn train_over_passes(
                     let end = (start + config.batch_size).min(perm.len());
                     let batch = NodeBatch::expand(lap, &perm[start..end], NEIGHBOR_CAP)?;
                     let sub_attrs = attrs.select_rows(batch.nodes());
-                    encoder.forward_cached_into(batch.propagator(), &sub_attrs, &mut cache)?;
+                    encoder.forward_into(batch.propagator(), &sub_attrs, &mut cache)?;
                     epoch_loss += reconstruction_loss_and_grad_into(
                         batch.propagator(),
                         cache.output(),
@@ -227,7 +209,7 @@ fn train_over_passes(
             }
             let mut epoch_loss = 0.0;
             for &(lap, attrs) in passes {
-                encoder.forward_cached_into(lap, attrs, &mut cache)?;
+                encoder.forward_into(lap, attrs, &mut cache)?;
                 epoch_loss += reconstruction_loss_and_grad_into(
                     lap,
                     cache.output(),
@@ -294,7 +276,7 @@ mod tests {
         let (ls, lt, xs, xt) = toy_setup();
         let mut config = HtcConfig::fast();
         config.epochs = 40;
-        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         assert_eq!(model.loss_history.len(), 40);
         let first = model.loss_history[0];
         let last = *model.loss_history.last().unwrap();
@@ -311,7 +293,7 @@ mod tests {
         // target embeddings coincide.
         let (ls, lt, xs, xt) = toy_setup();
         let config = HtcConfig::fast();
-        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         let hs = generate_embeddings(&model.encoder, &ls, &xs).unwrap();
         let ht = generate_embeddings(&model.encoder, &lt, &xt).unwrap();
         assert_eq!(hs.len(), ht.len());
@@ -324,8 +306,8 @@ mod tests {
     fn training_is_deterministic_given_seed() {
         let (ls, lt, xs, xt) = toy_setup();
         let config = HtcConfig::fast();
-        let a = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
-        let b = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let a = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
+        let b = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         assert_eq!(a.loss_history, b.loss_history);
         for (wa, wb) in a.encoder.weights().iter().zip(b.encoder.weights()) {
             assert!(wa.approx_eq(wb, 0.0));
@@ -336,7 +318,7 @@ mod tests {
     fn embedding_dimensions_follow_config() {
         let (ls, lt, xs, xt) = toy_setup();
         let config = HtcConfig::fast().with_embedding_dim(5);
-        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         let hs = generate_embeddings(&model.encoder, &ls, &xs).unwrap();
         assert_eq!(hs[0].shape(), (6, 5));
     }
@@ -346,7 +328,7 @@ mod tests {
     fn mismatched_view_counts_panic() {
         let (ls, lt, xs, xt) = toy_setup();
         let config = HtcConfig::fast();
-        let _ = train_multi_orbit(&ls[..2], &lt, &xs, &xt, &config);
+        let _ = train_multi_orbit(&ls[..2], &lt, &xs, &xt, &config, &mut |_, _| true);
     }
 
     #[test]
@@ -355,7 +337,7 @@ mod tests {
         let config = HtcConfig::fast();
 
         let mut seen = Vec::new();
-        let model = train_multi_orbit_observed(&ls, &lt, &xs, &xt, &config, &mut |epoch, loss| {
+        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |epoch, loss| {
             seen.push((epoch, loss));
             true
         })
@@ -364,8 +346,7 @@ mod tests {
         assert_eq!(seen.last().unwrap().1, *model.loss_history.last().unwrap());
 
         let err =
-            train_multi_orbit_observed(&ls, &lt, &xs, &xt, &config, &mut |epoch, _| epoch < 2)
-                .unwrap_err();
+            train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |epoch, _| epoch < 2).unwrap_err();
         assert_eq!(err, HtcError::Cancelled);
     }
 
@@ -375,7 +356,7 @@ mod tests {
         let mut config = HtcConfig::fast();
         config.epochs = 40;
         config.batch_size = 3; // 6 nodes → 2 batches per pass per epoch
-        let a = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let a = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         assert_eq!(a.loss_history.len(), 40);
         assert!(a.loss_history.iter().all(|l| l.is_finite()));
         assert!(
@@ -384,7 +365,7 @@ mod tests {
             a.loss_history[0],
             a.loss_history.last().unwrap()
         );
-        let b = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let b = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         assert_eq!(a.loss_history, b.loss_history);
         for (wa, wb) in a.encoder.weights().iter().zip(b.encoder.weights()) {
             assert!(wa.approx_eq(wb, 0.0));
@@ -400,7 +381,7 @@ mod tests {
         let mut config = HtcConfig::fast();
         config.epochs = 30;
         config.batch_size = 64;
-        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config).unwrap();
+        let model = train_multi_orbit(&ls, &lt, &xs, &xt, &config, &mut |_, _| true).unwrap();
         assert!(model.loss_history.last().unwrap() < &model.loss_history[0]);
     }
 
@@ -409,7 +390,7 @@ mod tests {
         let (ls, _, xs, _) = toy_setup();
         let mut config = HtcConfig::fast();
         config.epochs = 30;
-        let model = train_single_graph_observed(&ls, &xs, &config, &mut |_, _| true).unwrap();
+        let model = train_single_graph(&ls, &xs, &config, &mut |_, _| true).unwrap();
         assert_eq!(model.loss_history.len(), 30);
         assert!(model.loss_history.last().unwrap() < &model.loss_history[0]);
         assert_eq!(model.encoder.input_dim(), xs.cols());

@@ -1,6 +1,6 @@
 //! Chunk-count × ISA invariance of the parallel blocked LISI sweep.
 //!
-//! The multi-threaded sweep of `lisi_topk_with` partitions row blocks into
+//! The multi-threaded sweep of `lisi_topk` partitions row blocks into
 //! chunks and merges chunk-partial state in ascending chunk order; the
 //! determinism contract says neither the chunk count nor the instruction set
 //! may influence a single result bit.  This test cross-checks every chunk
@@ -11,9 +11,7 @@
 //! process-global kernel dispatch: as the only test here, nothing races the
 //! override.
 
-use htc_core::lisi::{
-    lisi_matrix, lisi_topk_with, trusted_pairs, BlockedLisiScratch, SweepControl,
-};
+use htc_core::lisi::{lisi_matrix, lisi_topk, trusted_pairs, BlockedLisiScratch, SweepControl};
 use htc_linalg::kernels::force_isa;
 use htc_linalg::ops::row_argmax;
 use htc_linalg::{DenseMatrix, Isa};
@@ -45,7 +43,7 @@ fn fingerprint(
         chunks: Some(chunks),
         progress: None,
     };
-    let blocked = lisi_topk_with(hs, ht, m, k, block, &mut scratch, &control).unwrap();
+    let blocked = lisi_topk(hs, ht, m, k, block, &mut scratch, &control).unwrap();
     let rows = (0..blocked.topk.rows())
         .map(|r| blocked.topk.row(r).map(|(c, v)| (c, v.to_bits())).collect())
         .collect();

@@ -42,6 +42,7 @@ fn minibatch_training_is_bit_identical_across_thread_counts() {
             pair.source.attributes(),
             pair.target.attributes(),
             cfg,
+            &mut |_, _| true,
         )
         .unwrap()
     };

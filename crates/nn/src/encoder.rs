@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 /// Intermediate quantities of one forward pass, needed for backpropagation.
 ///
 /// A cache is reusable: passing the same instance to
-/// [`GcnEncoder::forward_cached_into`] across epochs reuses every internal
+/// [`GcnEncoder::forward_into`] across epochs reuses every internal
 /// allocation, so steady-state training performs no per-product allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardCache {
@@ -225,50 +225,30 @@ impl GcnEncoder {
         &self.activations
     }
 
-    /// Plain forward pass returning the final embedding.
+    /// Plain forward pass returning the final embedding (allocates a fresh
+    /// [`ForwardCache`] and keeps only its output).
     pub fn forward(
         &self,
         propagator: &CsrMatrix,
         features: &DenseMatrix,
     ) -> Result<DenseMatrix, LinalgError> {
-        Ok(self.forward_cached(propagator, features)?.output)
+        let mut cache = ForwardCache::new();
+        self.forward_into(propagator, features, &mut cache)?;
+        Ok(cache.output)
     }
 
-    /// Like [`GcnEncoder::forward`], but writes into a caller-owned cache and
-    /// returns a borrow of its output — the allocation-free inference path
-    /// (after warm-up) used by the fine-tuning refinement loop, which
-    /// re-encodes the boosted source graph every iteration.
+    /// Forward pass into a caller-owned cache, reusing its buffers, and
+    /// returning a borrow of its output.  The cache also records the
+    /// intermediate quantities [`GcnEncoder::backward`] needs.  This is the
+    /// allocation-free path (after warm-up) the training loop runs every
+    /// `(graph, orbit, epoch)` combination and the fine-tuning loop runs
+    /// every refinement iteration.
     pub fn forward_into<'c>(
         &self,
         propagator: &CsrMatrix,
         features: &DenseMatrix,
         cache: &'c mut ForwardCache,
     ) -> Result<&'c DenseMatrix, LinalgError> {
-        self.forward_cached_into(propagator, features, cache)?;
-        Ok(&cache.output)
-    }
-
-    /// Forward pass that also records the intermediate quantities needed by
-    /// [`GcnEncoder::backward`].
-    pub fn forward_cached(
-        &self,
-        propagator: &CsrMatrix,
-        features: &DenseMatrix,
-    ) -> Result<ForwardCache, LinalgError> {
-        let mut cache = ForwardCache::new();
-        self.forward_cached_into(propagator, features, &mut cache)?;
-        Ok(cache)
-    }
-
-    /// Like [`GcnEncoder::forward_cached`], but writes into a caller-owned
-    /// cache, reusing its buffers.  This is the allocation-free path the
-    /// training loop runs every `(graph, orbit, epoch)` combination.
-    pub fn forward_cached_into(
-        &self,
-        propagator: &CsrMatrix,
-        features: &DenseMatrix,
-        cache: &mut ForwardCache,
-    ) -> Result<(), LinalgError> {
         let layers = self.num_layers();
         cache.ensure_layers(layers);
         let ForwardCache {
@@ -294,7 +274,7 @@ impl GcnEncoder {
             };
             self.activations[l].apply_into(&pre_activations[l], dst);
         }
-        Ok(())
+        Ok(output)
     }
 
     /// Backpropagates `grad_output = ∂loss/∂H^L` through the cached forward
@@ -449,7 +429,8 @@ mod tests {
         .unwrap();
 
         // Analytic gradient.
-        let cache = enc.forward_cached(&prop, &x).unwrap();
+        let mut cache = ForwardCache::new();
+        enc.forward_into(&prop, &x, &mut cache).unwrap();
         let (_, grad_h) = reconstruction_loss_and_grad(&target, cache.output());
         let grads = enc.backward(&prop, &cache, &grad_h).unwrap();
 

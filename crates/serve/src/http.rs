@@ -13,7 +13,7 @@
 //! A connection serves **many requests per socket**, but a worker only ever
 //! holds it for one request *burst*: between requests the socket parks in
 //! the runtime's reactor (`crate::reactor`), and when it becomes readable a
-//! pool worker parses one request with [`read_request`], writes one
+//! pool worker parses one request with [`read_request_limited`], writes one
 //! response, serves any pipelined requests already buffered, and hands the
 //! socket back to the reactor while [`Request::keep_alive`] holds.
 //! `HTTP/1.1` defaults to keep-alive, `HTTP/1.0` to close; a
@@ -219,17 +219,12 @@ fn read_line_limited(
     }
 }
 
-/// Reads one request from the connection's buffered reader with the default
-/// [`ReadLimits`].  The caller has already established that request bytes
-/// are (about to be) available — the reactor dispatched this connection as
-/// readable, or a pipelined request is buffered.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
-    read_request_limited(reader, &ReadLimits::default())
-}
-
-/// [`read_request`] with explicit read-progress deadlines: the head must
-/// complete within `limits.head_deadline`, every read must progress within
-/// `limits.stall`, and the whole request must arrive within `limits.total`.
+/// Reads one request from the connection's buffered reader.  The caller has
+/// already established that request bytes are (about to be) available — the
+/// reactor dispatched this connection as readable, or a pipelined request is
+/// buffered.  The head must complete within `limits.head_deadline`, every
+/// read must progress within `limits.stall`, and the whole request must
+/// arrive within `limits.total`.
 pub fn read_request_limited(
     reader: &mut BufReader<TcpStream>,
     limits: &ReadLimits,
@@ -646,7 +641,7 @@ impl Client {
     }
 }
 
-/// A client-side response, as read by [`read_client_response`].
+/// A client-side response, as read by [`read_client_response_deadline`].
 #[derive(Debug)]
 pub struct ClientResponse {
     pub status: u16,
@@ -667,14 +662,6 @@ impl ClientResponse {
     pub fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).unwrap_or("")
     }
-}
-
-/// Reads one HTTP response from a persistent connection: status line,
-/// headers, then a `Content-Length` or `Transfer-Encoding: chunked` body.
-/// Bounded by the default response deadline; see
-/// [`read_client_response_deadline`] for an explicit budget.
-pub fn read_client_response(reader: &mut BufReader<TcpStream>) -> Result<ClientResponse, String> {
-    read_client_response_deadline(reader, Instant::now() + CLIENT_RESPONSE_DEADLINE)
 }
 
 /// Arms the socket read timeout with the time left until `deadline` (capped
@@ -728,9 +715,10 @@ fn read_exact_deadline(
     Ok(())
 }
 
-/// [`read_client_response`] with an explicit overall deadline covering the
-/// whole response — status line, headers and body.  This is the client half
-/// of the protocol, used by the keep-alive clients in
+/// Reads one HTTP response from a persistent connection — status line,
+/// headers, then a `Content-Length` or `Transfer-Encoding: chunked` body —
+/// within one overall deadline covering the whole response.  This is the
+/// client half of the protocol, used by the keep-alive clients in
 /// `examples/serve_client.rs`, the `serve_load` generator and the
 /// integration tests.
 pub fn read_client_response_deadline(

@@ -360,9 +360,9 @@ fn hot_clients_are_rate_limited_with_retry_after() {
     server.shutdown();
 }
 
-/// Regression (the PR 2 `read_client_response` gap): a server that accepts,
-/// sends partial headers and then stalls can no longer hang the client — the
-/// response deadline bounds the whole exchange.
+/// Regression: a server that accepts, sends partial headers and then stalls
+/// can no longer hang the client — the response deadline of
+/// `read_client_response_deadline` bounds the whole exchange.
 #[test]
 fn stalled_server_cannot_hang_the_client() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
