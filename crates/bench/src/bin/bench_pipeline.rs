@@ -21,7 +21,9 @@
 //! caches, keep-alive clients — the scale-out curve in PERFORMANCE.md), and
 //! an `idle_clients` scenario measuring live `/align` p99 over a population
 //! of parked keep-alive connections versus an empty server — the reactor's
-//! "idle connections cost no workers" claim as a tracked ratio.
+//! "idle connections cost no workers" claim as a tracked ratio.  Both serving
+//! scenarios drive their load through `htc_bench::load`, the generator the
+//! `serve_load` example uses.
 //!
 //! `--scale large` switches to the Large-tier scenario instead of the preset
 //! loops: one seeded power-law pair of `--large-nodes` nodes (default
@@ -34,16 +36,17 @@
 //! `BENCH_pipeline.json` is the union of a `--scale small` run and the
 //! `large_scale` block of a `--scale large` run.
 
-use htc_bench::{htc_config_for_scale, parse_args};
+use htc_bench::load::{
+    align_body, percentile, run_clients, scrape_stats, warmup, ClientOpts, IdlePopulation,
+    InProcessFleet,
+};
+use htc_bench::{htc_config_for_scale, parse_args, HarnessArgs};
 use htc_core::pipeline::stages;
 use htc_core::{AlignmentSession, HtcAligner, ScaleTier};
 use htc_datasets::{generate_pair, DatasetPreset, Scale, SyntheticPairConfig};
-use htc_fleet::{Router, RouterConfig, ShardSet};
 use htc_graph::generators::{random_permutation, seeded_rng};
 use htc_graph::perturb::{permute_network, remove_edges};
 use htc_graph::AttributedNetwork;
-use htc_serve::http::Client;
-use htc_serve::json::network_spec;
 use htc_serve::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,113 +119,36 @@ fn one_vs_many_json(scale: Scale) -> String {
     )
 }
 
-/// Served RPS through an in-process fleet of `shards` shard servers behind
-/// the consistent-hash router, with warm per-source artifact caches.
-fn measure_fleet_rps(
-    shards: usize,
-    clients: usize,
-    bodies: &[String],
-    duration: Duration,
-) -> (u64, f64) {
-    let cache_dir =
-        std::env::temp_dir().join(format!("htc-bench-fleet-{}-{shards}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::fs::create_dir_all(&cache_dir).expect("create fleet spill dir");
-    let servers: Vec<Server> = (0..shards)
-        .map(|i| {
-            Server::start(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                cache_dir: Some(cache_dir.clone()),
-                shard_id: Some(i),
-                ..ServerConfig::default()
-            })
-            .expect("start shard server")
-        })
-        .collect();
-    let set = Arc::new(ShardSet::new(shards));
-    for (i, server) in servers.iter().enumerate() {
-        set.incarnate(i, server.addr(), None);
-    }
-    let router = Router::start(RouterConfig::default(), set).expect("start router");
-    let addr = router.addr();
-
-    // Warm every source through the router so the measurement sees cache
-    // serving, not one-off training runs.
-    let mut warm = Client::connect(addr).expect("warmup connect");
-    for body in bodies {
-        let response = warm.request("POST", "/align", body).expect("warmup align");
-        assert_eq!(
-            response.status,
-            200,
-            "warmup failed: {}",
-            response.body_str()
-        );
-    }
-
-    let deadline = Instant::now() + duration;
-    let started = Instant::now();
-    let threads: Vec<_> = (0..clients)
-        .map(|client| {
-            let bodies = bodies.to_vec();
-            std::thread::spawn(move || {
-                let mut ok = 0u64;
-                let mut conn: Option<Client> = None;
-                let mut turn = client; // stagger the round-robin start
-                while Instant::now() < deadline {
-                    if conn.is_none() {
-                        conn = Client::connect(addr).ok();
-                    }
-                    let Some(client) = conn.as_mut() else {
-                        std::thread::sleep(Duration::from_millis(5));
-                        continue;
-                    };
-                    let body = &bodies[turn % bodies.len()];
-                    turn += 1;
-                    match client.request("POST", "/align", body) {
-                        Ok(response) if response.status == 200 => ok += 1,
-                        _ => conn = None,
-                    }
-                }
-                ok
-            })
-        })
-        .collect();
-    let total: u64 = threads
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .sum();
-    let elapsed = started.elapsed().as_secs_f64();
-
-    router.shutdown();
-    for server in servers {
-        server.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    (total, total as f64 / elapsed.max(1e-9))
-}
-
-/// Times the fleet scale-out scenario and renders its JSON object.
+/// Times the fleet scale-out scenario and renders its JSON object: served
+/// RPS through an in-process fleet of 1, 2 and 4 shard servers behind the
+/// consistent-hash router, with warm per-source artifact caches.
 fn fleet_json() -> String {
     const CLIENTS: usize = 4;
     const SOURCES: usize = 8;
     const NODES: usize = 12;
     const DURATION: Duration = Duration::from_secs(2);
-    let bodies: Vec<String> = (0..SOURCES)
-        .map(|i| {
-            let pair = generate_pair(&SyntheticPairConfig::tiny(NODES).with_seed(41 + i as u64));
-            format!(
-                "{{\"preset\":\"fast\",\"epochs\":4,\"source\":{},\"target\":{}}}",
-                network_spec(&pair.source),
-                network_spec(&pair.target)
-            )
-        })
-        .collect();
+    let bodies: Arc<Vec<String>> = Arc::new(
+        (0..SOURCES)
+            .map(|i| align_body(NODES, 41 + i as u64))
+            .collect(),
+    );
     let scaling: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&shards| {
             eprintln!("[bench_pipeline] fleet scenario: {shards} shard(s), {CLIENTS} clients");
-            let (requests, rps) = measure_fleet_rps(shards, CLIENTS, &bodies, DURATION);
-            format!("{{\"shards\": {shards}, \"requests\": {requests}, \"rps\": {rps:.1}}}")
+            let fleet = InProcessFleet::start(shards, 0);
+            // Warm every source through the router so the measurement sees
+            // cache serving, not one-off training runs.
+            warmup(fleet.addr(), &bodies);
+            let started = Instant::now();
+            let opts = (0..CLIENTS).map(|i| ClientOpts::plain(false, 0x10ad_0000 + i as u64));
+            let stats = run_clients(fleet.addr(), &bodies, started + DURATION, opts);
+            let rps = stats.ok as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            fleet.teardown();
+            format!(
+                "{{\"shards\": {shards}, \"requests\": {}, \"rps\": {rps:.1}}}",
+                stats.ok
+            )
         })
         .collect();
     format!(
@@ -237,51 +163,9 @@ fn fleet_json() -> String {
 const IDLE_POPULATION: usize = 2000;
 /// Live (closed-loop) clients measured over the parked population.
 const IDLE_LIVE_CLIENTS: usize = 4;
-/// Measurement window for each of the two latency phases.
+/// Measurement window for each of the two latency phases.  Shorter than the
+/// population's 8 s minimum think time, so no idle ping lands inside it.
 const IDLE_PHASE_DURATION: Duration = Duration::from_secs(2);
-
-/// Closed-loop latency measurement: `clients` threads hammer `/align` on
-/// keep-alive connections for `duration`; returns (requests, p50 ms, p99 ms).
-fn measure_live_latency(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    body: &str,
-    duration: Duration,
-) -> (u64, f64, f64) {
-    let deadline = Instant::now() + duration;
-    let threads: Vec<_> = (0..clients)
-        .map(|_| {
-            let body = body.to_string();
-            std::thread::spawn(move || {
-                let mut latencies_us: Vec<u64> = Vec::new();
-                let mut client = Client::connect(addr).expect("live client connect");
-                while Instant::now() < deadline {
-                    let start = Instant::now();
-                    match client.request("POST", "/align", &body) {
-                        Ok(response) if response.status == 200 => {
-                            latencies_us.push(start.elapsed().as_micros() as u64);
-                        }
-                        _ => client = Client::connect(addr).expect("live client reconnect"),
-                    }
-                }
-                latencies_us
-            })
-        })
-        .collect();
-    let mut latencies: Vec<u64> = Vec::new();
-    for thread in threads {
-        latencies.extend(thread.join().expect("live client thread"));
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx] as f64 / 1000.0
-    };
-    (latencies.len() as u64, pct(0.50), pct(0.99))
-}
 
 /// Times the idle-client scenario and renders its JSON object: live `/align`
 /// latency over an empty server versus the same load over a population of
@@ -290,12 +174,6 @@ fn measure_live_latency(
 /// it so a regression (idle connections bleeding into live latency) shows up
 /// in the perf trajectory.
 fn idle_clients_json() -> String {
-    let pair = generate_pair(&SyntheticPairConfig::tiny(14).with_seed(9));
-    let body = format!(
-        "{{\"preset\":\"fast\",\"epochs\":4,\"source\":{},\"target\":{}}}",
-        network_spec(&pair.source),
-        network_spec(&pair.target)
-    );
     let server = Server::start(ServerConfig {
         // The population sits parked far longer than the default keep-alive;
         // the scenario measures parked cost, not idle reaping.
@@ -304,37 +182,31 @@ fn idle_clients_json() -> String {
     })
     .expect("start idle-scenario server");
     let addr = server.addr();
-    let mut warm = Client::connect(addr).expect("warmup connect");
-    let response = warm.request("POST", "/align", &body).expect("warmup align");
-    assert_eq!(
-        response.status,
-        200,
-        "warmup failed: {}",
-        response.body_str()
-    );
+    let bodies = Arc::new(vec![align_body(14, 9)]);
+    warmup(addr, &bodies);
+    // One measurement phase: (requests, p50 ms, p99 ms).
+    let phase = || {
+        let deadline = Instant::now() + IDLE_PHASE_DURATION;
+        let opts = (0..IDLE_LIVE_CLIENTS).map(|i| ClientOpts::plain(false, 0x10ad_0000 + i as u64));
+        let mut stats = run_clients(addr, &bodies, deadline, opts);
+        stats.latencies.sort_unstable();
+        let pct = |p| percentile(&stats.latencies, p);
+        (stats.ok, pct(0.50), pct(0.99))
+    };
 
     eprintln!("[bench_pipeline] idle-client scenario: baseline ({IDLE_LIVE_CLIENTS} live clients)");
-    let (baseline_requests, baseline_p50, baseline_p99) =
-        measure_live_latency(addr, IDLE_LIVE_CLIENTS, &body, IDLE_PHASE_DURATION);
+    let (baseline_requests, baseline_p50, baseline_p99) = phase();
 
     eprintln!("[bench_pipeline] idle-client scenario: parking {IDLE_POPULATION} idle connections");
-    let mut idlers: Vec<Client> = Vec::with_capacity(IDLE_POPULATION);
-    for i in 0..IDLE_POPULATION {
-        idlers.push(Client::connect(addr).expect("idle client connect"));
-        if i % 100 == 99 {
-            // Gentle ramp keeps the accept backlog comfortable.
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
+    let idle = IdlePopulation::start(addr, IDLE_POPULATION);
+    idle.await_ready(Duration::from_secs(120));
 
     eprintln!("[bench_pipeline] idle-client scenario: loaded ({IDLE_POPULATION} parked)");
-    let (loaded_requests, loaded_p50, loaded_p99) =
-        measure_live_latency(addr, IDLE_LIVE_CLIENTS, &body, IDLE_PHASE_DURATION);
+    let (loaded_requests, loaded_p50, loaded_p99) = phase();
 
     // Occupancy and health straight from the server, while the population is
     // still parked: every idle connection must be in the reactor, none shed.
-    let stats_response = warm.request("GET", "/stats", "").expect("stats scrape");
-    let stats = htc_serve::json::parse(stats_response.body_str()).expect("parse stats");
+    let stats = scrape_stats(addr).expect("stats scrape");
     let runtime = stats.get("runtime").expect("stats runtime section");
     let gauge = |key: &str| {
         runtime
@@ -345,7 +217,7 @@ fn idle_clients_json() -> String {
     let parked = gauge("parked");
     let shed = gauge("shed_connections");
     let panics = gauge("worker_panics");
-    drop(idlers);
+    idle.stop_and_join();
     server.shutdown();
 
     format!(
@@ -542,7 +414,7 @@ fn large_scale_json(scale: Scale, flags: &LargeFlags, runs: usize) -> (String, b
         pair.target.num_edges(),
         config.top_k,
         config.batch_size,
-        result.timer().stages_json_detailed(),
+        result.timer().stages_json(),
     );
     if !within_budget {
         eprintln!(
@@ -592,7 +464,6 @@ fn main() {
         htc_linalg::kernels::active().mr,
         htc_linalg::kernels::active().nr,
     );
-    let config = htc_config_for_scale(args.scale);
     let out_path = args
         .out
         .clone()
@@ -604,29 +475,34 @@ fn main() {
         std::process::exit(2);
     }
 
-    if args.scale == Scale::Large {
-        // The Large tier replaces the preset/one-vs-many/fleet loops: those
-        // measure the dense pipeline and serving stack, which the 100k-node
-        // scenario is not about.
+    // The Large tier replaces the preset/one-vs-many/fleet loops: those
+    // measure the dense pipeline and serving stack, which the 100k-node
+    // scenario is not about.
+    let (sections, ok) = if args.scale == Scale::Large {
         let flags = parse_large_flags(std::env::args().skip(1));
-        let (large, ok) = large_scale_json(args.scale, &flags, args.runs);
-        let json = format!(
-            "{{\n  \"schema\": \"htc-bench-pipeline-v7\",\n  \"scale\": \"{:?}\",\n  \"runs\": {},\n  \"threads\": {},\n  \"isa\": \"{}\",\n{}\n}}\n",
-            args.scale,
-            args.runs,
-            htc_linalg::parallel::num_threads(),
-            htc_linalg::active_isa().name(),
-            large,
-        );
-        std::fs::write(&out_path, &json).expect("failed to write benchmark artifact");
-        eprintln!("[bench_pipeline] wrote {out_path}");
-        println!("{json}");
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
+        large_scale_json(args.scale, &flags, args.runs)
+    } else {
+        (preset_scale_json(&args), true)
+    };
+    let json = format!(
+        "{{\n  \"schema\": \"htc-bench-pipeline-v8\",\n  \"scale\": \"{:?}\",\n  \"runs\": {},\n  \"threads\": {},\n  \"isa\": \"{}\",\n{sections}\n}}\n",
+        args.scale,
+        args.runs,
+        htc_linalg::parallel::num_threads(),
+        htc_linalg::active_isa().name(),
+    );
+    std::fs::write(&out_path, &json).expect("failed to write benchmark artifact");
+    eprintln!("[bench_pipeline] wrote {out_path}");
+    println!("{json}");
+    if !ok {
+        std::process::exit(1);
     }
+}
 
+/// The `--scale small|paper` artifact sections: the per-dataset pairwise
+/// decomposition plus the one-vs-many, fleet and idle-client scenarios.
+fn preset_scale_json(args: &HarnessArgs) -> String {
+    let config = htc_config_for_scale(args.scale);
     let mut datasets_json = Vec::new();
     for preset in DatasetPreset::real_world() {
         let pair = generate_pair(&preset.config(args.scale));
@@ -673,23 +549,11 @@ fn main() {
             stages
         ));
     }
-
-    let one_vs_many = one_vs_many_json(args.scale);
-    let fleet = fleet_json();
-    let idle_clients = idle_clients_json();
-
-    let json = format!(
-        "{{\n  \"schema\": \"htc-bench-pipeline-v7\",\n  \"scale\": \"{:?}\",\n  \"runs\": {},\n  \"threads\": {},\n  \"isa\": \"{}\",\n  \"datasets\": [\n{}\n  ],\n{},\n{},\n{}\n}}\n",
-        args.scale,
-        args.runs,
-        htc_linalg::parallel::num_threads(),
-        htc_linalg::active_isa().name(),
+    format!(
+        "  \"datasets\": [\n{}\n  ],\n{},\n{},\n{}",
         datasets_json.join(",\n"),
-        one_vs_many,
-        fleet,
-        idle_clients
-    );
-    std::fs::write(&out_path, &json).expect("failed to write benchmark artifact");
-    eprintln!("[bench_pipeline] wrote {out_path}");
-    println!("{json}");
+        one_vs_many_json(args.scale),
+        fleet_json(),
+        idle_clients_json()
+    )
 }

@@ -3,12 +3,15 @@
 //! Benchmark harness for the HTC reproduction.  Every table and figure of the
 //! paper's evaluation section has a dedicated binary in `src/bin/` (see
 //! `DESIGN.md` for the experiment index); this library holds the shared
-//! plumbing: CLI parsing, method runners, result rows and table rendering.
+//! plumbing: CLI parsing, method runners, result rows and table rendering,
+//! plus the serving load generator ([`load`]) that `bench_pipeline` and the
+//! `serve_load` example share.
 //!
 //! All binaries accept `--scale small|paper` (default `small`) and print both
 //! a human-readable table and machine-readable TSV prefixed with `#TSV`.
 
 pub mod harness;
+pub mod load;
 pub mod report;
 
 pub use harness::{

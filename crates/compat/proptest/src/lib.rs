@@ -116,7 +116,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`fn@vec`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -80,30 +80,7 @@ pub fn greedy_matching(alignment: &DenseMatrix) -> Matching {
             pairs.push((s, t, v));
         }
     }
-    pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    let mut target_of = vec![None; ns];
-    let mut used_target = vec![false; nt];
-    let mut used_source = vec![false; ns];
-    let mut total = 0.0;
-    let mut matched = 0usize;
-    let max_pairs = ns.min(nt);
-    for (s, t, v) in pairs {
-        if matched == max_pairs {
-            break;
-        }
-        if used_source[s] || used_target[t] {
-            continue;
-        }
-        used_source[s] = true;
-        used_target[t] = true;
-        target_of[s] = Some(t);
-        total += v;
-        matched += 1;
-    }
-    Matching {
-        target_of,
-        total_score: total,
-    }
+    greedy_accept(pairs, ns, nt)
 }
 
 /// Greedy maximum-weight matching over a [`TopKRows`] candidate artifact —
@@ -123,8 +100,15 @@ pub fn greedy_matching_topk(candidates: &TopKRows) -> Matching {
             pairs.push((s, t, v));
         }
     }
-    // Stable sort over row-major candidate order: equal scores resolve
-    // towards the lower (source, candidate-rank) pair, deterministically.
+    greedy_accept(pairs, ns, nt)
+}
+
+/// The greedy policy shared by both matchers: stably sort `(source, target,
+/// score)` pairs by descending score and accept each pair whose source and
+/// target are both still free.  The stable sort over the callers' row-major
+/// pair order resolves equal scores towards the lower (source, column or
+/// candidate-rank) pair, deterministically.
+fn greedy_accept(mut pairs: Vec<(usize, usize, f64)>, ns: usize, nt: usize) -> Matching {
     pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
     let mut target_of = vec![None; ns];
     let mut used_target = vec![false; nt];

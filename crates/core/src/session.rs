@@ -1094,8 +1094,8 @@ fn integrate_refinements(
 /// [`AlignmentSession::begin`]).
 ///
 /// Each stage method computes its stage (and any missing prerequisite) on
-/// first call and returns the artifact for inspection; [`finish`]
-/// (PairAlignment::finish) runs whatever remains and assembles the
+/// first call and returns the artifact for inspection;
+/// [`finish`](PairAlignment::finish) runs whatever remains and assembles the
 /// [`HtcResult`].  Calling `finish()` directly on a fresh driver is exactly
 /// [`AlignmentSession::align`].
 pub struct PairAlignment<'s> {

@@ -9,8 +9,9 @@
 //! * [`add_random_edges`] — insert spurious edges;
 //! * [`permute_graph`] / [`permute_network`] — relabel nodes by a permutation,
 //!   returning the ground-truth mapping used for evaluation;
-//! * [`perturb_attributes`] — add Gaussian noise / flip a fraction of binary
-//!   attributes (attribute-consistency violation).
+//! * [`perturb_attributes_gaussian`] / [`perturb_attributes_flip`] — add
+//!   Gaussian noise / flip a fraction of binary attributes
+//!   (attribute-consistency violation).
 
 use crate::attributed::AttributedNetwork;
 use crate::graph::Graph;

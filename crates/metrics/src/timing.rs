@@ -195,36 +195,17 @@ impl StageTimer {
         }
     }
 
-    /// Renders the stages as a JSON array of `{"stage", "seconds"}` objects,
-    /// in insertion order — the one emitter shared by every binary that
-    /// writes machine-readable stage timings (`htc-align --json`,
-    /// `bench_pipeline`).
-    pub fn stages_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, entry) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"stage\": \"{}\", \"seconds\": {:.6}}}",
-                entry.name.replace('\\', "\\\\").replace('"', "\\\""),
-                entry.duration.as_secs_f64()
-            ));
-        }
-        out.push(']');
-        out
-    }
-
     /// Renders the stages as a JSON array of
     /// `{"stage", "seconds", "count", "mean_seconds"}` objects, in insertion
-    /// order — the occurrence-count-aware variant of
-    /// [`stages_json`](Self::stages_json), used by serving processes whose
-    /// `/stats` endpoints report how often each stage ran (e.g. to verify a
-    /// cached artifact skipped its stage).  Stages recorded with a peak-RSS
-    /// sample additionally carry `"peak_rss_bytes"`; stages without one omit
-    /// the key so emitters on procfs-less platforms stay byte-identical to
-    /// the pre-memory-tracking format.
-    pub fn stages_json_detailed(&self) -> String {
+    /// order — the one emitter shared by every binary and endpoint that
+    /// writes machine-readable stage timings (`htc-align --json`,
+    /// `bench_pipeline`, the serving `/stats` and align responses).  The
+    /// count shows how often each stage ran, e.g. that a cached artifact
+    /// skipped its stage.  Stages recorded with a peak-RSS sample
+    /// additionally carry `"peak_rss_bytes"`; stages without one omit the key
+    /// so emitters on procfs-less platforms stay byte-identical to the
+    /// pre-memory-tracking format.
+    pub fn stages_json(&self) -> String {
         let mut out = String::from("[");
         for (i, entry) in self.stages.iter().enumerate() {
             if i > 0 {
@@ -364,25 +345,15 @@ mod tests {
         let mut t = StageTimer::new();
         t.record("b", Duration::from_millis(1500));
         t.record("a \"quoted\"", Duration::from_millis(250));
+        t.record("b", Duration::from_millis(500));
         assert_eq!(
             t.stages_json(),
-            "[{\"stage\": \"b\", \"seconds\": 1.500000}, \
-             {\"stage\": \"a \\\"quoted\\\"\", \"seconds\": 0.250000}]"
+            "[{\"stage\": \"b\", \"seconds\": 2.000000, \"count\": 2, \
+             \"mean_seconds\": 1.000000}, \
+             {\"stage\": \"a \\\"quoted\\\"\", \"seconds\": 0.250000, \"count\": 1, \
+             \"mean_seconds\": 0.250000}]"
         );
         assert_eq!(StageTimer::new().stages_json(), "[]");
-    }
-
-    #[test]
-    fn detailed_json_reports_counts_and_means() {
-        let mut t = StageTimer::new();
-        t.record("training", Duration::from_millis(100));
-        t.record("training", Duration::from_millis(300));
-        assert_eq!(
-            t.stages_json_detailed(),
-            "[{\"stage\": \"training\", \"seconds\": 0.400000, \"count\": 2, \
-             \"mean_seconds\": 0.200000}]"
-        );
-        assert_eq!(StageTimer::new().stages_json_detailed(), "[]");
     }
 
     #[test]
@@ -411,12 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn detailed_json_includes_peak_rss_only_when_sampled() {
+    fn stages_json_includes_peak_rss_only_when_sampled() {
         let mut t = StageTimer::new();
         t.record_with_peak_rss("training", Duration::from_millis(200), 4096);
         t.record("matching", Duration::from_millis(100));
         assert_eq!(
-            t.stages_json_detailed(),
+            t.stages_json(),
             "[{\"stage\": \"training\", \"seconds\": 0.200000, \"count\": 1, \
              \"mean_seconds\": 0.200000, \"peak_rss_bytes\": 4096}, \
              {\"stage\": \"matching\", \"seconds\": 0.100000, \"count\": 1, \

@@ -43,9 +43,10 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Upper bound on a request body.  Inline edge lists and attribute matrices
-/// for graphs in this workspace's serving range fit comfortably; anything
-/// larger should ship as a persisted artifact path instead.
+/// Upper bound on a request body, and on a response body the [`Client`]
+/// reads.  Inline edge lists and attribute matrices for graphs in this
+/// workspace's serving range fit comfortably; anything larger should ship as
+/// a persisted artifact path instead.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// Default per-read stall cap while actively reading a request; a peer that
 /// stalls mid-exchange frees its worker.  (Idle time *between* requests is
@@ -662,6 +663,20 @@ impl ClientResponse {
     pub fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).unwrap_or("")
     }
+
+    /// The server's retry hint in milliseconds: the structured JSON body's
+    /// `retry_after_ms` if present, else the `Retry-After` header (seconds).
+    pub fn retry_after_ms(&self) -> Option<u64> {
+        if let Some(ms) = crate::json::parse(self.body_str())
+            .ok()
+            .and_then(|v| v.get("retry_after_ms").and_then(crate::json::Json::as_f64))
+        {
+            return Some(ms.max(0.0) as u64);
+        }
+        self.header("retry-after")
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .map(|secs| secs.saturating_mul(1000))
+    }
 }
 
 /// Arms the socket read timeout with the time left until `deadline` (capped
@@ -733,6 +748,11 @@ pub fn read_client_response_deadline(
             let size_line = read_line_deadline(reader, deadline)?;
             let size = usize::from_str_radix(size_line.trim(), 16)
                 .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+            // Bound the declared size before allocating for it.
+            let total = body.len().checked_add(size);
+            if total.is_none_or(|total| total > MAX_BODY_BYTES) {
+                return Err(format!("response body exceeds {MAX_BODY_BYTES} bytes"));
+            }
             let mut chunk = vec![0u8; size + 2]; // chunk + trailing CRLF
             read_exact_deadline(reader, &mut chunk, deadline)?;
             if size == 0 {
@@ -743,6 +763,9 @@ pub fn read_client_response_deadline(
         }
     } else {
         let length = head_content_length(&head)?;
+        if length > MAX_BODY_BYTES {
+            return Err(format!("response body exceeds {MAX_BODY_BYTES} bytes"));
+        }
         body = vec![0u8; length];
         read_exact_deadline(reader, &mut body, deadline)?;
     }
@@ -911,14 +934,15 @@ pub fn relay_response(
     if head_is_chunked(head) {
         loop {
             let size_line = read_line_deadline(upstream, deadline).map_err(RelayError::Upstream)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| RelayError::Upstream(format!("bad chunk size {size_line:?}")))?;
+            let bad_size = || RelayError::Upstream(format!("bad chunk size {size_line:?}"));
+            let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| bad_size())?;
+            // The chunk and its trailing CRLF; the zero-length terminator
+            // carries just the CRLF.
+            let framed = size.checked_add(2).ok_or_else(bad_size)?;
             downstream
                 .write_all(format!("{size:x}\r\n").as_bytes())
                 .map_err(RelayError::Downstream)?;
-            // The chunk and its trailing CRLF; the zero-length terminator
-            // carries just the CRLF.
-            copy_exact(upstream, downstream, size + 2, deadline)?;
+            copy_exact(upstream, downstream, framed, deadline)?;
             if size == 0 {
                 break;
             }
@@ -962,4 +986,31 @@ fn copy_exact(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn response(headers: &[(&str, &str)], body: &str) -> ClientResponse {
+        ClientResponse {
+            status: 429,
+            headers: headers
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    #[test]
+    fn retry_after_ms_prefers_the_body_then_the_header() {
+        let both = response(&[("retry-after", "3")], "{\"retry_after_ms\":250}");
+        assert_eq!(both.retry_after_ms(), Some(250));
+        let header_only = response(&[("retry-after", " 2 ")], "{\"error\":\"busy\"}");
+        assert_eq!(header_only.retry_after_ms(), Some(2000));
+        let huge = response(&[("retry-after", &u64::MAX.to_string())], "");
+        assert_eq!(huge.retry_after_ms(), Some(u64::MAX));
+        assert_eq!(response(&[], "not json").retry_after_ms(), None);
+    }
 }

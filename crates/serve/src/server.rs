@@ -865,20 +865,14 @@ fn stats_json(shared: &Arc<Shared>) -> String {
             ])
         }),
         ("busy_sessions", json::num(busy_sessions as f64)),
-        (
-            "shared_stages",
-            json_raw(shared_stages.stages_json_detailed()),
-        ),
-        (
-            "request_stages",
-            json_raw(request_timer.stages_json_detailed()),
-        ),
+        ("shared_stages", json_raw(shared_stages.stages_json())),
+        ("request_stages", json_raw(request_timer.stages_json())),
     ])
     .render()
 }
 
-/// Wraps an already-rendered JSON fragment (the StageTimer emitters produce
-/// their own JSON) so it can be embedded without re-parsing.
+/// Wraps an already-rendered JSON fragment (`StageTimer::stages_json` renders
+/// its own JSON) so it can be embedded without re-parsing.
 fn json_raw(fragment: String) -> Json {
     Json::Raw(fragment)
 }
@@ -1537,7 +1531,7 @@ fn render_align_response_to<W: std::fmt::Write>(
         None => out.write_str("null")?,
     }
     out.write_str(",\"stages\":")?;
-    out.write_str(&result.timer().stages_json_detailed())?;
+    out.write_str(&result.timer().stages_json())?;
     out.write_char('}')
 }
 

@@ -15,7 +15,7 @@
 
 use htc_datasets::{generate_pair, SyntheticPairConfig};
 use htc_serve::fault::FaultPlan;
-use htc_serve::http::Client;
+use htc_serve::http::{read_response_head, relay_response, Client, RelayError};
 use htc_serve::json::{self, network_spec as network_json};
 use htc_serve::{FairnessConfig, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -398,6 +398,85 @@ fn stalled_server_cannot_hang_the_client() {
         "client must give up well before the server un-stalls, took {elapsed:?}"
     );
     stall.join().unwrap();
+}
+
+/// A one-shot server that answers the first request with `head` and then
+/// holds the socket open, silent, until the client hangs up — so a client
+/// that trusted the head and waited for the body would sit out its whole
+/// response deadline.
+fn hostile_head_server(head: &'static str) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut scratch = [0u8; 256];
+        let _ = socket.read(&mut scratch);
+        socket.write_all(head.as_bytes()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        while matches!(socket.read(&mut scratch), Ok(n) if n > 0) {}
+    });
+    (addr, server)
+}
+
+/// Response framing sizes beyond the body bound — a huge `Content-Length`,
+/// a huge chunk, a chunk size that overflows the framing arithmetic — are
+/// rejected before anything is allocated for them: an error, promptly, and
+/// no allocation abort or overflow panic.
+#[test]
+fn hostile_response_framing_is_rejected_before_allocating() {
+    for head in [
+        "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5af3107a3fff\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+    ] {
+        let (addr, server) = hostile_head_server(head);
+        let mut client = Client::connect(addr).unwrap();
+        client.set_response_deadline(Duration::from_secs(5));
+        client.send_with("GET", "/healthz", "", true).unwrap();
+        let started = Instant::now();
+        let err = client
+            .read()
+            .expect_err("an oversized body must not be accepted");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "rejected only after {:?} ({err}) for {head:?}",
+            started.elapsed()
+        );
+        drop(client);
+        server.join().unwrap();
+    }
+}
+
+/// The relay's chunk framing (`size + CRLF`) cannot overflow: a chunk size of
+/// `usize::MAX` is an upstream error, not a panic or a wrapped count.
+#[test]
+fn relay_rejects_an_overflowing_chunk_size() {
+    let (addr, server) = hostile_head_server(
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+    );
+    let mut upstream = Client::connect(addr).unwrap();
+    upstream.send_with("GET", "/healthz", "", true).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let head = read_response_head(upstream.reader_mut(), deadline).unwrap();
+    let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut downstream = TcpStream::connect(sink.local_addr().unwrap()).unwrap();
+    let _peer = sink.accept().unwrap();
+    let result = relay_response(
+        upstream.reader_mut(),
+        &head,
+        &mut downstream,
+        false,
+        &[],
+        deadline,
+    );
+    assert!(
+        matches!(result, Err(RelayError::Upstream(_))),
+        "expected an upstream error, got {result:?}"
+    );
+    drop(upstream);
+    server.join().unwrap();
 }
 
 /// Locks a client socket's receive buffer small so unread response bytes

@@ -4,7 +4,7 @@
 //!
 //! * [`pca`] — principal component analysis via power iteration (used to
 //!   initialise t-SNE and as a fast 2-D projection on its own);
-//! * [`tsne`] — an exact (O(n²)) t-SNE implementation (van der Maaten &
+//! * [`mod@tsne`] — an exact (O(n²)) t-SNE implementation (van der Maaten &
 //!   Hinton, 2008) used to regenerate Fig. 11, the before/after visualisation
 //!   of anchor-node embeddings.
 //!

@@ -21,7 +21,7 @@
 
 use htc::datasets::{generate_pair, SyntheticPairConfig};
 use htc::serve::http::Client;
-use htc::serve::json::{self, network_spec};
+use htc::serve::json::network_spec;
 use htc::serve::{Server, ServerConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -31,25 +31,6 @@ use std::time::Duration;
 /// a genuinely saturated server still fails fast.
 const MAX_ATTEMPTS: u32 = 4;
 const BACKOFF_BASE_MS: u64 = 25;
-
-/// The server's retry hint in milliseconds: the structured JSON body's
-/// `retry_after_ms` if present, else the `Retry-After` header (seconds).
-fn retry_hint_ms(status: u16, headers: &[(String, String)], body: &str) -> Option<u64> {
-    if !matches!(status, 429 | 503 | 504) {
-        return None;
-    }
-    if let Some(ms) = json::parse(body)
-        .ok()
-        .and_then(|v| v.get("retry_after_ms").and_then(json::Json::as_f64))
-    {
-        return Some(ms.max(0.0) as u64);
-    }
-    headers
-        .iter()
-        .find(|(name, _)| name.eq_ignore_ascii_case("retry-after"))
-        .and_then(|(_, v)| v.trim().parse::<u64>().ok())
-        .map(|secs| secs * 1000)
-}
 
 /// One exchange with back-pressure handling; returns (status, body).
 ///
@@ -67,8 +48,8 @@ fn request_with_retry(
     let mut backoff_ms = BACKOFF_BASE_MS;
     for attempt in 1..=MAX_ATTEMPTS {
         let response = client.request(method, path, body).expect("exchange");
-        let hint = retry_hint_ms(response.status, &response.headers, response.body_str());
-        let Some(hint) = hint else {
+        let retryable = matches!(response.status, 429 | 503 | 504);
+        let Some(hint) = retryable.then(|| response.retry_after_ms()).flatten() else {
             return (response.status, response.body_str().to_string());
         };
         if attempt == MAX_ATTEMPTS {

@@ -15,10 +15,12 @@
 //! measured.  The `reuse_ratio` / `worker_panics` output lines are scraped
 //! by the CI concurrency smoke step.
 //!
-//! Every client honours back-pressure: on 429/503/504 it sleeps for the
-//! server's `retry_after_ms` hint (falling back to the `Retry-After` header,
-//! then to exponential backoff), multiplied by a seeded jitter factor so runs
-//! are deterministic.  Per-status-class counts are printed as a greppable
+//! The clients, the in-process fleet, the idle population and the `/stats`
+//! scraper are `htc_bench::load`, shared with `bench_pipeline`.  Every client
+//! honours back-pressure: on 429/503/504 it sleeps for the server's
+//! `retry_after_ms` hint (falling back to the `Retry-After` header, then to
+//! exponential backoff), multiplied by a seeded jitter factor so runs are
+//! deterministic.  Per-status-class counts are printed as a greppable
 //! `status_classes:` line.
 //!
 //! `--hot-client` runs the fairness drill instead: an in-process server with
@@ -44,7 +46,7 @@
 //! level.
 //!
 //! `--fleet N` runs the scale-out drill: N in-process shard servers sharing
-//! one spill directory behind a consistent-hash [`Router`], hammered with
+//! one spill directory behind a consistent-hash router, hammered with
 //! `--sources K` distinct source graphs so the load spreads across shards.
 //! Responses carry `X-HTC-Shard`; the drill prints the per-shard request
 //! distribution (`shard_distribution:` line) and *asserts* stickiness —
@@ -52,16 +54,16 @@
 //! hashes to.  502s are retryable in this mode (the router's mid-failover
 //! signal) and show up in the `status_classes:` line.
 
-use htc::datasets::{generate_pair, SyntheticPairConfig};
-use htc::fleet::{owner, Router, RouterConfig, ShardSet};
+use htc::fleet::owner;
 use htc::serve::http::Client;
-use htc::serve::json::{self, network_spec};
+use htc::serve::json;
 use htc::serve::{routing_fingerprint, FaultPlan, Server, ServerConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
+use htc_bench::load::{
+    align_body, percentile, run_client, run_clients, scrape_stats, warmup, ClientOpts, ClientStats,
+    IdlePopulation, InProcessFleet,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,27 +74,13 @@ const VICTIM_PACE_MS: u64 = 40;
 /// hot client exhausts the burst and is throttled to the refill rate.
 const DRILL_PEER_RPS: f64 = 50.0;
 const DRILL_PEER_BURST: f64 = 16.0;
-/// Backoff when the server gives no hint (connect refused, socket errors).
-const BACKOFF_BASE_MS: u64 = 10;
-const BACKOFF_MAX_MS: u64 = 500;
-/// Idle-population think time: jittered 8–20 s — the population is *mostly*
-/// idle, pinging rarely.  Together with the per-thread socket share below
-/// this keeps the worst-case gap between pings on any one socket (think time
-/// plus one serial sweep of the thread's other sockets) well under the
-/// server's keep-alive, so parked pingers are never reaped as dead.
-const IDLE_THINK_MIN_MS: u64 = 8000;
-const IDLE_THINK_MAX_MS: u64 = 20000;
-/// Sockets owned by one idle pinger thread.  Pings within a thread are
-/// serial, so this bounds the sweep delay a due ping can suffer behind its
-/// neighbours' round trips (500 × a loaded ~15 ms RTT ≈ 7.5 s worst case).
-const IDLE_SOCKETS_PER_THREAD: usize = 500;
 /// Keep-alive the in-process server uses when an idle population is
-/// requested: think time + worst-case sweep delay must fit inside it.
+/// requested: the population's think time (8–20 s) plus its worst-case
+/// sweep delay must fit inside it.
 const IDLE_KEEP_ALIVE_SECS: u64 = 60;
-/// Connect ramp: one chunk per tick keeps the accept backlog comfortable
-/// even when asking for tens of thousands of connections.
-const IDLE_RAMP_CHUNK: usize = 100;
-const IDLE_RAMP_TICK_MS: u64 = 10;
+/// Seed of the first request body; `--sources K` uses this seed and the
+/// K − 1 after it.
+const FIRST_SOURCE_SEED: u64 = 41;
 /// The slow-writer drill's server-side stall deadline.
 const SLOW_WRITER_STALL_MS: u64 = 500;
 
@@ -205,264 +193,6 @@ fn parse_args() -> Result<LoadArgs, String> {
     Ok(args)
 }
 
-/// One exchange on an existing keep-alive connection.
-fn exchange(
-    client: &mut Client,
-    method: &str,
-    path: &str,
-    body: &str,
-    close: bool,
-) -> Result<u16, String> {
-    client
-        .send_with(method, path, body, close)
-        .map_err(|e| format!("send: {e}"))?;
-    Ok(client.read()?.status)
-}
-
-/// What one client saw: latencies of successful requests (µs) and counts
-/// per back-pressure status class.
-#[derive(Default)]
-struct ClientStats {
-    latencies: Vec<u64>,
-    ok: u64,
-    rate_limited: u64, // 429
-    unavailable: u64,  // 503
-    deadline: u64,     // 504
-    bad_gateway: u64,  // 502 — router-level retryable, fleet mode only
-    other_errors: u64, // connect failures, io errors, unexpected statuses
-    /// Requests served per shard id (fleet mode; from `X-HTC-Shard`).
-    shard_requests: Vec<u64>,
-    /// Which shard(s) each source index was observed on (fleet mode).
-    source_shards: Vec<BTreeSet<usize>>,
-}
-
-impl ClientStats {
-    fn merge(&mut self, mut other: ClientStats) {
-        self.latencies.append(&mut other.latencies);
-        self.ok += other.ok;
-        self.rate_limited += other.rate_limited;
-        self.unavailable += other.unavailable;
-        self.deadline += other.deadline;
-        self.bad_gateway += other.bad_gateway;
-        self.other_errors += other.other_errors;
-        if self.shard_requests.len() < other.shard_requests.len() {
-            self.shard_requests.resize(other.shard_requests.len(), 0);
-        }
-        for (i, n) in other.shard_requests.iter().enumerate() {
-            self.shard_requests[i] += n;
-        }
-        if self.source_shards.len() < other.source_shards.len() {
-            self.source_shards
-                .resize(other.source_shards.len(), BTreeSet::new());
-        }
-        for (i, shards) in other.source_shards.iter_mut().enumerate() {
-            self.source_shards[i].append(shards);
-        }
-    }
-
-    fn errors(&self) -> u64 {
-        self.rate_limited + self.unavailable + self.deadline + self.bad_gateway + self.other_errors
-    }
-
-    fn record_shard(&mut self, shard: usize, source: usize) {
-        if self.shard_requests.len() <= shard {
-            self.shard_requests.resize(shard + 1, 0);
-        }
-        self.shard_requests[shard] += 1;
-        if self.source_shards.len() <= source {
-            self.source_shards.resize(source + 1, BTreeSet::new());
-        }
-        self.source_shards[source].insert(shard);
-    }
-}
-
-/// How one client behaves: connection style, identity header, pacing, and
-/// the seed for its (deterministic) backoff jitter.
-struct ClientOpts {
-    close_per_request: bool,
-    identity: Option<String>,
-    pace: Option<Duration>,
-    seed: u64,
-}
-
-impl ClientOpts {
-    fn plain(close_per_request: bool, seed: u64) -> Self {
-        Self {
-            close_per_request,
-            identity: None,
-            pace: None,
-            seed,
-        }
-    }
-}
-
-/// The server's retry hint in milliseconds: the structured JSON body's
-/// `retry_after_ms` if present, else the `Retry-After` header (seconds).
-fn retry_hint_ms(response: &htc::serve::http::ClientResponse) -> Option<u64> {
-    if let Some(ms) = json::parse(response.body_str())
-        .ok()
-        .and_then(|v| v.get("retry_after_ms").and_then(json::Json::as_f64))
-    {
-        return Some(ms.max(0.0) as u64);
-    }
-    response
-        .header("retry-after")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|secs| secs * 1000)
-}
-
-/// Per-client loop: requests until the deadline, honouring server retry
-/// hints with seeded, jittered backoff.  With several bodies (fleet mode)
-/// each request picks one deterministically at random, and the responding
-/// shard (from `X-HTC-Shard`) is recorded per source.
-fn run_client(
-    addr: SocketAddr,
-    bodies: Arc<Vec<String>>,
-    deadline: Instant,
-    opts: ClientOpts,
-) -> ClientStats {
-    let mut stats = ClientStats::default();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut backoff_ms = BACKOFF_BASE_MS;
-    let mut conn: Option<Client> = None;
-    let mut next_slot = Instant::now();
-    let headers: Vec<(String, String)> = opts
-        .identity
-        .iter()
-        .map(|id| ("X-HTC-Client".to_string(), id.clone()))
-        .collect();
-
-    // Jittered sleep, capped so the client never overshoots its deadline.
-    let pause = |ms: u64, rng: &mut StdRng| {
-        let jittered = (ms.max(1) as f64 * rng.gen_range(0.5..1.0)).max(1.0);
-        let until_deadline = deadline.saturating_duration_since(Instant::now());
-        std::thread::sleep(Duration::from_millis(jittered as u64).min(until_deadline));
-    };
-
-    while Instant::now() < deadline {
-        if let Some(pace) = opts.pace {
-            let now = Instant::now();
-            if now < next_slot {
-                std::thread::sleep(next_slot - now);
-            }
-            next_slot = next_slot.max(now) + pace;
-        }
-        if conn.is_none() {
-            match Client::connect(addr) {
-                Ok(c) => conn = Some(c),
-                Err(_) => {
-                    stats.other_errors += 1;
-                    pause(backoff_ms, &mut rng);
-                    backoff_ms = (backoff_ms * 2).min(BACKOFF_MAX_MS);
-                    continue;
-                }
-            }
-        }
-        let client = conn.as_mut().expect("just connected");
-        let header_refs: Vec<(&str, &str)> = headers
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let source = if bodies.len() == 1 {
-            0
-        } else {
-            rng.gen_range(0..bodies.len())
-        };
-        let start = Instant::now();
-        let response = client
-            .send_with_headers(
-                "POST",
-                "/align",
-                &bodies[source],
-                opts.close_per_request,
-                &header_refs,
-            )
-            .map_err(|e| format!("send: {e}"))
-            .and_then(|()| client.read());
-        match response {
-            Ok(response) if (200..300).contains(&response.status) => {
-                stats.ok += 1;
-                stats.latencies.push(start.elapsed().as_micros() as u64);
-                if let Some(shard) = response.header("x-htc-shard").and_then(|s| s.parse().ok()) {
-                    stats.record_shard(shard, source);
-                }
-                backoff_ms = BACKOFF_BASE_MS;
-            }
-            Ok(response) if response.status == 502 => {
-                // The router answers 502 with Retry-After while a shard is
-                // down and not yet failed over / restarted — retryable.
-                stats.bad_gateway += 1;
-                let hint = retry_hint_ms(&response).unwrap_or(backoff_ms);
-                pause(hint, &mut rng);
-                backoff_ms = (backoff_ms * 2).min(BACKOFF_MAX_MS);
-            }
-            Ok(response) if matches!(response.status, 429 | 503 | 504) => {
-                match response.status {
-                    429 => stats.rate_limited += 1,
-                    503 => stats.unavailable += 1,
-                    _ => stats.deadline += 1,
-                }
-                // Shed connections are closed server-side; 429/504 keep the
-                // socket alive.
-                if response.status == 503 {
-                    conn = None;
-                }
-                let hint = retry_hint_ms(&response).unwrap_or(backoff_ms);
-                pause(hint, &mut rng);
-                backoff_ms = (backoff_ms * 2).min(BACKOFF_MAX_MS);
-            }
-            Ok(_) | Err(_) => {
-                stats.other_errors += 1;
-                conn = None;
-                pause(backoff_ms, &mut rng);
-                backoff_ms = (backoff_ms * 2).min(BACKOFF_MAX_MS);
-            }
-        }
-        if opts.close_per_request {
-            conn = None;
-        }
-    }
-    stats
-}
-
-fn percentile(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)] as f64 / 1000.0
-}
-
-fn align_body(nodes: usize) -> String {
-    align_body_seeded(nodes, 41)
-}
-
-fn align_body_seeded(nodes: usize, seed: u64) -> String {
-    let pair = generate_pair(&SyntheticPairConfig::tiny(nodes).with_seed(seed));
-    format!(
-        "{{\"preset\":\"fast\",\"epochs\":4,\"source\":{},\"target\":{}}}",
-        network_spec(&pair.source),
-        network_spec(&pair.target)
-    )
-}
-
-/// The `--sources` distinct request bodies (one shared source graph each).
-fn align_bodies(nodes: usize, sources: usize) -> Vec<String> {
-    (0..sources)
-        .map(|i| align_body_seeded(nodes, 41 + i as u64))
-        .collect()
-}
-
-/// Warm the artifact cache so measurements see steady-state serving, not one
-/// training run amortised arbitrarily across clients.
-fn warmup(addr: SocketAddr, bodies: &[String]) {
-    let mut client = Client::connect(addr).expect("warmup connect");
-    for body in bodies {
-        let status = exchange(&mut client, "POST", "/align", body, false).expect("warmup align");
-        assert_eq!(status, 200, "warmup request failed");
-    }
-}
-
 fn print_status_classes(stats: &ClientStats) {
     println!(
         "status_classes: 2xx={} 429={} 503={} 504={} 502={} other={}",
@@ -476,22 +206,8 @@ fn print_status_classes(stats: &ClientStats) {
 }
 
 /// Scrape the server's own counters (greppable; CI asserts on these).
-/// Retries a shed (non-200) scrape: right after a big idle population hangs
-/// up, the dispatch queue can briefly fill with hangup wakeups and the first
-/// stats probe may be turned away.
 fn print_runtime_counters(addr: SocketAddr) {
-    let mut response = None;
-    for _ in 0..5 {
-        let mut client = Client::connect(addr).expect("stats connect");
-        let reply = client.request("GET", "/stats", "").expect("read stats");
-        if reply.status == 200 {
-            response = Some(reply);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    let response = response.expect("stats probe kept being shed");
-    let stats = json::parse(response.body_str()).expect("parse stats");
+    let stats = scrape_stats(addr).expect("stats probe kept being shed");
     let num = |v: &json::Json, key: &str| v.get(key).and_then(json::Json::as_f64).unwrap_or(-1.0);
     // Older daemons have no runtime section; report what exists.
     if let Some(runtime) = stats.get("runtime") {
@@ -523,65 +239,16 @@ fn print_runtime_counters(addr: SocketAddr) {
 
 fn shutdown(server: Server, addr: SocketAddr) {
     let mut client = Client::connect(addr).expect("shutdown connect");
-    exchange(&mut client, "POST", "/shutdown", "", true).expect("shutdown");
+    client
+        .send_with("POST", "/shutdown", "", true)
+        .expect("shutdown");
+    client.read().expect("shutdown");
     server.join();
-}
-
-/// An in-process fleet: shard servers sharing one spill directory behind a
-/// consistent-hash router (same wiring as the `htc-fleet` binary, minus the
-/// child processes — this drill measures routing, not supervision).
-struct InProcessFleet {
-    router: Router,
-    shards: Vec<Server>,
-    cache_dir: std::path::PathBuf,
-}
-
-impl InProcessFleet {
-    fn start(shards: usize, workers: usize) -> InProcessFleet {
-        let cache_dir = std::env::temp_dir().join(format!(
-            "htc-serve-load-fleet-{}-{shards}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        std::fs::create_dir_all(&cache_dir).expect("create fleet spill dir");
-        let servers: Vec<Server> = (0..shards)
-            .map(|i| {
-                Server::start(ServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    cache_dir: Some(cache_dir.clone()),
-                    shard_id: Some(i),
-                    workers,
-                    ..ServerConfig::default()
-                })
-                .expect("start shard server")
-            })
-            .collect();
-        let set = Arc::new(ShardSet::new(shards));
-        for (i, server) in servers.iter().enumerate() {
-            set.incarnate(i, server.addr(), None);
-        }
-        let router = Router::start(RouterConfig::default(), set).expect("start router");
-        InProcessFleet {
-            router,
-            shards: servers,
-            cache_dir,
-        }
-    }
-
-    fn teardown(self) {
-        self.router.shutdown();
-        for shard in self.shards {
-            shard.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&self.cache_dir);
-    }
 }
 
 /// Router-side counters (greppable, fleet mode).
 fn print_fleet_counters(addr: SocketAddr) {
-    let mut client = Client::connect(addr).expect("stats connect");
-    let response = client.request("GET", "/stats", "").expect("read stats");
-    let stats = json::parse(response.body_str()).expect("parse stats");
+    let stats = scrape_stats(addr).expect("fleet stats probe kept being shed");
     let num = |v: &json::Json, key: &str| v.get(key).and_then(json::Json::as_f64).unwrap_or(-1.0);
     if let Some(router) = stats.get("router") {
         println!(
@@ -634,27 +301,14 @@ fn report_fleet(stats: &ClientStats, bodies: &[String], shards: usize) {
 /// run until the deadline.  Returns (merged victim stats, hot stats).
 fn drill_phase(
     addr: SocketAddr,
-    body: &str,
+    bodies: &Arc<Vec<String>>,
     duration: Duration,
     victims: usize,
     with_hot: bool,
 ) -> (ClientStats, ClientStats) {
     let deadline = Instant::now() + duration;
-    let bodies = Arc::new(vec![body.to_string()]);
-    let victim_threads: Vec<_> = (0..victims)
-        .map(|i| {
-            let bodies = Arc::clone(&bodies);
-            let opts = ClientOpts {
-                close_per_request: false,
-                identity: Some(format!("victim-{i}")),
-                pace: Some(Duration::from_millis(VICTIM_PACE_MS)),
-                seed: 0x5eed_0000 + i as u64,
-            };
-            std::thread::spawn(move || run_client(addr, bodies, deadline, opts))
-        })
-        .collect();
     let hot_thread = with_hot.then(|| {
-        let bodies = Arc::clone(&bodies);
+        let bodies = Arc::clone(bodies);
         let opts = ClientOpts {
             close_per_request: false,
             identity: Some("hot".to_string()),
@@ -663,174 +317,22 @@ fn drill_phase(
         };
         std::thread::spawn(move || run_client(addr, bodies, deadline, opts))
     });
-    let mut victim_stats = ClientStats::default();
-    for thread in victim_threads {
-        victim_stats.merge(thread.join().expect("victim thread"));
-    }
+    let victim_opts = (0..victims).map(|i| ClientOpts {
+        close_per_request: false,
+        identity: Some(format!("victim-{i}")),
+        pace: Some(Duration::from_millis(VICTIM_PACE_MS)),
+        seed: 0x5eed_0000 + i as u64,
+    });
+    let victim_stats = run_clients(addr, bodies, deadline, victim_opts);
     let hot_stats = hot_thread
         .map(|t| t.join().expect("hot thread"))
         .unwrap_or_default();
     (victim_stats, hot_stats)
 }
 
-/// What the idle keep-alive population saw.
-#[derive(Default)]
-struct IdleStats {
-    requested: usize,
-    connected: usize,
-    connect_errors: usize,
-    pings: u64,
-    ping_errors: u64,
-    shed: u64,
-}
-
-impl IdleStats {
-    fn merge(&mut self, other: IdleStats) {
-        self.requested += other.requested;
-        self.connected += other.connected;
-        self.connect_errors += other.connect_errors;
-        self.pings += other.pings;
-        self.ping_errors += other.ping_errors;
-        self.shed += other.shed;
-    }
-}
-
-/// One pinger thread: owns up to [`IDLE_SOCKETS_PER_THREAD`] keep-alive
-/// connections, ramps them up in chunks, then pings each on its own
-/// jittered think-time schedule until told to stop.  Between pings the
-/// sockets sit parked in the server's reactor — the whole point of the
-/// drill is that this population costs no workers.
-fn run_idle_thread(
-    addr: SocketAddr,
-    count: usize,
-    seed: u64,
-    stop: Arc<AtomicBool>,
-    settled: Arc<AtomicUsize>,
-) -> IdleStats {
-    let mut stats = IdleStats {
-        requested: count,
-        ..IdleStats::default()
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let think = |rng: &mut StdRng| {
-        Duration::from_millis(rng.gen_range(IDLE_THINK_MIN_MS..IDLE_THINK_MAX_MS))
-    };
-    let mut sockets: Vec<(Client, Instant)> = Vec::with_capacity(count);
-    let mut opened = 0;
-    while opened < count {
-        let chunk = (count - opened).min(IDLE_RAMP_CHUNK);
-        for _ in 0..chunk {
-            match Client::connect(addr) {
-                Ok(client) => {
-                    stats.connected += 1;
-                    let due = Instant::now() + think(&mut rng);
-                    sockets.push((client, due));
-                }
-                Err(_) => stats.connect_errors += 1,
-            }
-            settled.fetch_add(1, Ordering::Relaxed);
-        }
-        opened += chunk;
-        std::thread::sleep(Duration::from_millis(IDLE_RAMP_TICK_MS));
-    }
-    while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let mut next_due = now + Duration::from_millis(250);
-        let mut i = 0;
-        while i < sockets.len() {
-            if sockets[i].1 > now {
-                next_due = next_due.min(sockets[i].1);
-                i += 1;
-                continue;
-            }
-            match exchange(&mut sockets[i].0, "GET", "/healthz", "", false) {
-                Ok(200) => {
-                    stats.pings += 1;
-                    // Reschedule from the fresh clock, not the sweep start:
-                    // a long sweep must not compress the next think time.
-                    sockets[i].1 = Instant::now() + think(&mut rng);
-                    i += 1;
-                }
-                Ok(503) => {
-                    // Shed under load: the server closed the socket.
-                    stats.shed += 1;
-                    sockets.swap_remove(i);
-                }
-                Ok(_) | Err(_) => {
-                    stats.ping_errors += 1;
-                    sockets.swap_remove(i);
-                }
-            }
-        }
-        let now = Instant::now();
-        if next_due > now {
-            // Bounded naps keep the stop latency low without busy-waiting.
-            std::thread::sleep((next_due - now).min(Duration::from_millis(250)));
-        }
-    }
-    stats
-}
-
-/// The parked idle population for `--idle-clients`: pinger threads plus the
-/// signals to wait for ramp-up and to wind the population down.
-struct IdlePopulation {
-    threads: Vec<std::thread::JoinHandle<IdleStats>>,
-    stop: Arc<AtomicBool>,
-    settled: Arc<AtomicUsize>,
-    requested: usize,
-}
-
-impl IdlePopulation {
-    fn start(addr: SocketAddr, total: usize) -> IdlePopulation {
-        let stop = Arc::new(AtomicBool::new(false));
-        let settled = Arc::new(AtomicUsize::new(0));
-        let mut threads = Vec::new();
-        let mut remaining = total;
-        let mut seed = 0x1d7e_0000u64;
-        while remaining > 0 {
-            let share = remaining.min(IDLE_SOCKETS_PER_THREAD);
-            remaining -= share;
-            let stop = Arc::clone(&stop);
-            let settled = Arc::clone(&settled);
-            seed += 1;
-            threads.push(std::thread::spawn(move || {
-                run_idle_thread(addr, share, seed, stop, settled)
-            }));
-        }
-        IdlePopulation {
-            threads,
-            stop,
-            settled,
-            requested: total,
-        }
-    }
-
-    /// Blocks until every connect attempt has resolved (or the timeout
-    /// passes), so the live measurement starts against a fully parked
-    /// population rather than mid-ramp.
-    fn await_ready(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        while self.settled.load(Ordering::Relaxed) < self.requested && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    fn stop_and_join(self) -> IdleStats {
-        self.stop.store(true, Ordering::Relaxed);
-        let mut stats = IdleStats::default();
-        for thread in self.threads {
-            stats.merge(thread.join().expect("idle pinger thread"));
-        }
-        stats
-    }
-}
-
-/// One `/stats` sample of the runtime occupancy gauges.
+/// One `/stats` sample of the runtime occupancy gauges (-1 when unread).
 fn sample_parked(addr: SocketAddr) -> (i64, i64) {
-    let sample = Client::connect(addr)
-        .ok()
-        .and_then(|mut c| c.request("GET", "/stats", "").ok())
-        .and_then(|r| json::parse(r.body_str()).ok());
+    let sample = scrape_stats(addr);
     let gauge = |key: &str| {
         sample
             .as_ref()
@@ -855,8 +357,8 @@ fn slow_writer_drill(args: &LoadArgs) {
     })
     .expect("start server");
     let addr = server.addr();
-    let body = align_body(args.nodes);
-    warmup(addr, std::slice::from_ref(&body));
+    let bodies = Arc::new(vec![align_body(args.nodes, FIRST_SOURCE_SEED)]);
+    warmup(addr, &bodies);
 
     println!(
         "serve_load: slow-writer drill, {} live clients + header drippers, {:.1}s, \
@@ -866,14 +368,10 @@ fn slow_writer_drill(args: &LoadArgs) {
     );
 
     let deadline = Instant::now() + args.duration;
-    let bodies = Arc::new(vec![body]);
-    let live: Vec<_> = (0..args.clients)
-        .map(|i| {
-            let bodies = Arc::clone(&bodies);
-            let opts = ClientOpts::plain(false, 0x51de_0000 + i as u64);
-            std::thread::spawn(move || run_client(addr, bodies, deadline, opts))
-        })
+    let opts: Vec<_> = (0..args.clients)
+        .map(|i| ClientOpts::plain(false, 0x51de_0000 + i as u64))
         .collect();
+    let live = std::thread::spawn(move || run_clients(addr, &bodies, deadline, opts));
 
     // The drippers run serially on this thread: each connects, feeds header
     // bytes at the fault site's pace (far slower than the deadline allows a
@@ -911,10 +409,7 @@ fn slow_writer_drill(args: &LoadArgs) {
         }
     }
 
-    let mut stats = ClientStats::default();
-    for thread in live {
-        stats.merge(thread.join().expect("live client"));
-    }
+    let mut stats = live.join().expect("live clients");
     stats.latencies.sort_unstable();
     println!("requests: {} ok, {} errors", stats.ok, stats.errors());
     println!(
@@ -951,8 +446,8 @@ fn hot_client_drill(args: &LoadArgs) {
     let server = Server::start(config).expect("start server");
     let addr = server.addr();
 
-    let body = align_body(args.nodes);
-    warmup(addr, std::slice::from_ref(&body));
+    let bodies = Arc::new(vec![align_body(args.nodes, FIRST_SOURCE_SEED)]);
+    warmup(addr, &bodies);
 
     println!(
         "serve_load: hot-client drill, {} victims + 1 hot, {:.1}s per phase, \
@@ -961,8 +456,8 @@ fn hot_client_drill(args: &LoadArgs) {
         args.duration.as_secs_f64()
     );
 
-    let (baseline, _) = drill_phase(addr, &body, args.duration, args.clients, false);
-    let (loaded, hot) = drill_phase(addr, &body, args.duration, args.clients, true);
+    let (baseline, _) = drill_phase(addr, &bodies, args.duration, args.clients, false);
+    let (loaded, hot) = drill_phase(addr, &bodies, args.duration, args.clients, true);
 
     let mut baseline_lat = baseline.latencies.clone();
     baseline_lat.sort_unstable();
@@ -1041,12 +536,16 @@ fn main() {
     };
     let addr: SocketAddr = match (&args.addr, &fleet, &server) {
         (Some(addr), _, _) => addr.parse().expect("--addr must be HOST:PORT"),
-        (None, Some(fleet), _) => fleet.router.addr(),
+        (None, Some(fleet), _) => fleet.addr(),
         (None, None, Some(server)) => server.addr(),
         (None, None, None) => unreachable!(),
     };
 
-    let bodies = Arc::new(align_bodies(args.nodes, args.sources));
+    let bodies: Arc<Vec<String>> = Arc::new(
+        (0..args.sources as u64)
+            .map(|i| align_body(args.nodes, FIRST_SOURCE_SEED + i))
+            .collect(),
+    );
     warmup(addr, &bodies);
 
     // The idle population parks fully before the live clock starts, so the
@@ -1067,17 +566,9 @@ fn main() {
             sample_parked(addr)
         })
     });
-    let clients: Vec<_> = (0..args.clients)
-        .map(|i| {
-            let bodies = Arc::clone(&bodies);
-            let opts = ClientOpts::plain(args.close_per_request, 0x10ad_0000 + i as u64);
-            std::thread::spawn(move || run_client(addr, bodies, deadline, opts))
-        })
-        .collect();
-    let mut stats = ClientStats::default();
-    for client in clients {
-        stats.merge(client.join().expect("client thread"));
-    }
+    let opts = (0..args.clients)
+        .map(|i| ClientOpts::plain(args.close_per_request, 0x10ad_0000 + i as u64));
+    let mut stats = run_clients(addr, &bodies, deadline, opts);
     let elapsed = started.elapsed().as_secs_f64();
     stats.latencies.sort_unstable();
     let parked_sample = sampler.map(|t| t.join().expect("stats sampler"));
@@ -1130,8 +621,8 @@ fn main() {
         println!("parked_vs_active: parked={parked} active={active}");
     }
     print_status_classes(&stats);
-    if let Some(fleet) = &fleet {
-        report_fleet(&stats, &bodies, fleet.shards.len());
+    if fleet.is_some() {
+        report_fleet(&stats, &bodies, args.fleet);
         print_fleet_counters(addr);
     } else {
         print_runtime_counters(addr);

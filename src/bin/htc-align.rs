@@ -16,8 +16,9 @@
 //!
 //! `--threads N` pins the worker-pool width (equivalent to setting
 //! `HTC_NUM_THREADS`).  `--json` replaces the anchor TSV on stdout with a
-//! machine-readable summary — stage timings, trusted-pair counts and orbit
-//! importance weights — while `--output` still receives the anchor TSV.
+//! machine-readable summary — stage timings (seconds, count and mean per
+//! stage), trusted-pair counts and orbit importance weights — while
+//! `--output` still receives the anchor TSV.
 //!
 //! All flags, including the preset name, are validated at parse time, before
 //! any network is read or aligned.
