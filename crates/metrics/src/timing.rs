@@ -345,13 +345,25 @@ mod tests {
         let mut t = StageTimer::new();
         t.record("b", Duration::from_millis(1500));
         t.record("a \"quoted\"", Duration::from_millis(250));
-        t.record("b", Duration::from_millis(500));
         assert_eq!(
             t.stages_json(),
-            "[{\"stage\": \"b\", \"seconds\": 2.000000, \"count\": 2, \
-             \"mean_seconds\": 1.000000}, \
+            "[{\"stage\": \"b\", \"seconds\": 1.500000, \"count\": 1, \
+             \"mean_seconds\": 1.500000}, \
              {\"stage\": \"a \\\"quoted\\\"\", \"seconds\": 0.250000, \"count\": 1, \
              \"mean_seconds\": 0.250000}]"
+        );
+        assert_eq!(StageTimer::new().stages_json(), "[]");
+    }
+
+    #[test]
+    fn detailed_json_reports_counts_and_means() {
+        let mut t = StageTimer::new();
+        t.record("training", Duration::from_millis(100));
+        t.record("training", Duration::from_millis(300));
+        assert_eq!(
+            t.stages_json(),
+            "[{\"stage\": \"training\", \"seconds\": 0.400000, \"count\": 2, \
+             \"mean_seconds\": 0.200000}]"
         );
         assert_eq!(StageTimer::new().stages_json(), "[]");
     }
