@@ -1,13 +1,14 @@
 //! The fleet router: one front-end address over N shard processes.
 //!
-//! Runs on the same bounded [`ConnectionRuntime`] as a shard, so the router
-//! inherits the whole serving posture for free — worker pool, queue-full
-//! load shedding, keep-alive, deterministic drain.  Each `POST /align` body
-//! is fingerprinted ([`htc_serve::routing_fingerprint`]) and sent to the
-//! shard rendezvous hashing assigns it, over a pooled keep-alive upstream
-//! connection.  Repeat requests for one source therefore always land on the
-//! shard that has that source's session cached — the whole point of
-//! sharding a fingerprint-keyed cache.
+//! Runs on the same bounded [`ConnectionRuntime`] and the same request loop
+//! ([`serve_burst`]) as a shard, so the router inherits the whole serving
+//! posture for free — worker pool, queue-full load shedding, keep-alive and
+//! pipelining, deterministic drain, and the structured error replies.  Each
+//! `POST /align` body is fingerprinted ([`htc_serve::routing_fingerprint`])
+//! and sent to the shard rendezvous hashing assigns it, over a pooled
+//! keep-alive upstream connection.  Repeat requests for one source therefore
+//! always land on the shard that has that source's session cached — the
+//! whole point of sharding a fingerprint-keyed cache.
 //!
 //! **Failover** is safe exactly until the upstream response head has been
 //! read: up to that point nothing was written downstream, so the router can
@@ -29,16 +30,14 @@ use crate::pool::UpstreamPool;
 use crate::shard::{ShardSet, ShardState};
 use htc_metrics::Counter;
 use htc_serve::http::{
-    read_request_limited, read_response_head, relay_response, write_json_response,
-    write_json_response_with, Client, HttpError, ReadLimits, RelayError, Request,
+    read_response_head, relay_response, Client, ReadLimits, RelayError, Request,
 };
 use htc_serve::json::{self, Json};
-use htc_serve::routing_fingerprint;
 use htc_serve::runtime::{
-    default_workers, Conn, ConnHandler, ConnectionRuntime, Disposition, RuntimeConfig,
-    RuntimeMetrics, ShutdownSignal,
+    default_workers, serve_burst, Conn, ConnHandler, ConnectionRuntime, Disposition, Reply,
+    RuntimeConfig, RuntimeMetrics, ShutdownSignal,
 };
-use std::io::BufRead;
+use htc_serve::{routing_fingerprint, ServeError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,7 +122,6 @@ impl Router {
         let runtime_config = RuntimeConfig {
             workers: config.workers,
             queue_capacity: config.queue_capacity,
-            retry_after_secs: 1,
             idle_timeout: config.keep_alive,
             ..RuntimeConfig::default()
         };
@@ -173,50 +171,24 @@ impl Router {
     }
 }
 
-/// Serves one request burst on a dispatched client connection (see
-/// `htc_serve::server::handle_connection` for the burst contract): the
-/// readable request plus anything pipelined behind it, then back to the
-/// reactor on `KeepAlive`.
+/// The router's route table, run per request by [`serve_burst`] (the same
+/// request loop as a shard's, with the standalone read limits): `/align` is
+/// relayed to its shard, `/healthz`, `/fleet/healthz` and `/stats` are
+/// answered here, and `/shutdown` drains the router.
 fn handle_connection(conn: &mut Conn, shared: &Arc<RouterShared>) -> Disposition {
-    let limits = ReadLimits::default();
-    loop {
-        if !conn.has_buffered() {
-            // First request of the burst, or a clean FIN from a parked peer:
-            // peek so a normal hangup is not answered with a 400.
-            let reader = conn.reader_mut();
-            if reader
-                .get_ref()
-                .set_read_timeout(Some(limits.stall))
-                .is_err()
-            {
-                return Disposition::Close;
-            }
-            match reader.fill_buf() {
-                Ok([]) | Err(_) => return Disposition::Close,
-                Ok(_) => {}
-            }
-        }
-        let request = match read_request_limited(conn.reader_mut(), &limits) {
-            Ok(request) => request,
-            Err(HttpError { status, message }) => {
-                let body = json::obj(vec![
-                    ("error", json::str(message)),
-                    ("kind", json::str("http")),
-                ])
-                .render();
-                let _ = write_json_response(conn.stream_mut(), status, &body, false);
-                return Disposition::Close;
-            }
-        };
-        shared.runtime_metrics.total_requests.inc();
-        let keep_alive = request.keep_alive && !shared.shutdown.is_triggered();
-        let stream = conn.stream_mut();
-        let connection_usable = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/align") => proxy_align(stream, &request, shared, keep_alive),
-            ("GET", "/healthz") => write_json_response(
-                stream,
+    serve_burst(
+        conn,
+        &ReadLimits::default(),
+        &shared.runtime_metrics,
+        &shared.shutdown,
+        |request, _anchor, keep_alive, stream| match (
+            request.method.as_str(),
+            request.path.as_str(),
+        ) {
+            ("POST", "/align") => proxy_align(stream, request, shared, keep_alive),
+            ("GET", "/healthz") => Reply::Json(
                 200,
-                &json::obj(vec![
+                json::obj(vec![
                     ("status", json::str("ok")),
                     ("role", json::str("router")),
                     (
@@ -225,56 +197,13 @@ fn handle_connection(conn: &mut Conn, shared: &Arc<RouterShared>) -> Disposition
                     ),
                 ])
                 .render(),
-                keep_alive,
-            )
-            .map(|()| true),
-            ("GET", "/fleet/healthz") => {
-                write_json_response(stream, 200, &fleet_healthz(shared), keep_alive).map(|()| true)
-            }
-            ("GET", "/stats") => {
-                write_json_response(stream, 200, &fleet_stats(shared), keep_alive).map(|()| true)
-            }
-            ("POST", "/shutdown") => {
-                let body = json::obj(vec![("status", json::str("stopping"))]).render();
-                let written = write_json_response(stream, 200, &body, false);
-                shared.shutdown.trigger();
-                let _ = written;
-                conn.note_request();
-                return Disposition::Close;
-            }
-            ("POST", _) | ("GET", _) => write_json_response(
-                stream,
-                404,
-                &json::obj(vec![
-                    ("error", json::str(format!("no route {}", request.path))),
-                    ("kind", json::str("not_found")),
-                ])
-                .render(),
-                keep_alive,
-            )
-            .map(|()| true),
-            (method, _) => write_json_response(
-                stream,
-                405,
-                &json::obj(vec![
-                    ("error", json::str(format!("method {method} not allowed"))),
-                    ("kind", json::str("method_not_allowed")),
-                ])
-                .render(),
-                keep_alive,
-            )
-            .map(|()| true),
-        };
-        conn.note_request();
-        match connection_usable {
-            Ok(true) if keep_alive => {
-                if !conn.has_buffered() {
-                    return Disposition::KeepAlive;
-                }
-            }
-            _ => return Disposition::Close,
-        }
-    }
+            ),
+            ("GET", "/fleet/healthz") => Reply::Json(200, fleet_healthz(shared)),
+            ("GET", "/stats") => Reply::Json(200, fleet_stats(shared)),
+            ("POST", "/shutdown") => Reply::Shutdown,
+            (method, path) => Reply::Error(ServeError::no_route(method, path)),
+        },
+    )
 }
 
 /// One upstream proxy attempt against a specific shard incarnation.
@@ -296,14 +225,15 @@ enum Attempt {
     DownstreamGone(std::io::Error),
 }
 
-/// Routes and relays one `POST /align`.  Returns whether the downstream
-/// connection is still usable for keep-alive.
+/// Routes and relays one `POST /align`.  A relayed response is
+/// [`Reply::Written`] with whether the downstream connection is still usable
+/// for keep-alive; with no shard able to answer, the reply is a `502`.
 fn proxy_align(
     stream: &mut TcpStream,
     request: &Request,
     shared: &Arc<RouterShared>,
     keep_alive: bool,
-) -> std::io::Result<bool> {
+) -> Reply {
     let fingerprint = routing_fingerprint(&request.body);
     if fingerprint.is_none() {
         // Forwarded anyway: the owner of "fingerprint 0" will produce the
@@ -352,7 +282,7 @@ fn proxy_align(
                 if shard != order[0] {
                     shared.metrics.failovers.inc();
                 }
-                return Ok(true);
+                return Reply::Written(Ok(true));
             }
             Attempt::UpstreamFailed(why) => {
                 // Passive health: stop routing here until the supervisor's
@@ -364,18 +294,17 @@ fn proxy_align(
                 shared.pool.clear(shard);
                 continue;
             }
-            Attempt::TornMidBody => return Ok(false),
-            Attempt::DownstreamGone(e) => return Err(e),
+            Attempt::TornMidBody => return Reply::Written(Ok(false)),
+            Attempt::DownstreamGone(e) => return Reply::Written(Err(e)),
         }
     }
     shared.metrics.bad_gateway.inc();
-    let body = json::obj(vec![
-        ("error", json::str("no live shard could serve this request")),
-        ("kind", json::str("bad_gateway")),
-    ])
-    .render();
-    write_json_response_with(stream, 502, &body, keep_alive, Some(1))?;
-    Ok(true)
+    Reply::Error(ServeError {
+        status: 502,
+        kind: "bad_gateway",
+        message: "no live shard could serve this request".into(),
+        retry_after_ms: Some(1000),
+    })
 }
 
 /// The shards to try, in order: the rendezvous owner first (when live), then

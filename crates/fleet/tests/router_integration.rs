@@ -6,13 +6,15 @@
 //! Covered here: fingerprint→shard stickiness, failover serving warm and
 //! bit-identically from the shared spill directory after the owner dies,
 //! `/stats` aggregation summing to the per-shard values, chunked-response
-//! relay, and a full drain.
+//! relay, a full drain, and the HTTP edge cases run against both hops.
 
 use htc_datasets::{generate_pair, SyntheticPairConfig};
 use htc_fleet::{owner, Router, RouterConfig, ShardSet};
 use htc_serve::http::Client;
 use htc_serve::json::{self, network_spec, Json};
 use htc_serve::{routing_fingerprint, Server, ServerConfig};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -339,4 +341,123 @@ fn fleet_drain_stops_router_and_releases_clients() {
 
     shard.shutdown();
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// Drives the HTTP edge cases against one front end under keep-alive and
+/// returns every error response as `(status, body)`, in order, so hops can
+/// be compared: back-to-back and pipelined requests, `404`/`405`, a
+/// malformed request (400, then close) that does not poison the worker,
+/// oversized head and body (431/413, then close), idle reaping after the
+/// front end's 400 ms keep-alive window, and `Connection: close`.
+fn http_edge_cases(addr: SocketAddr) -> Vec<(u16, String)> {
+    let mut errors = Vec::new();
+    let mut record = |response: htc_serve::http::ClientResponse, status: u16| {
+        assert_eq!(response.status, status, "{}", response.body_str());
+        errors.push((response.status, response.body_str().to_string()));
+    };
+
+    // Content-Length: 0 and back-to-back requests on one socket.
+    let mut client = Client::connect(addr).unwrap();
+    for _ in 0..3 {
+        let response = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!(response.status, 200);
+        let health = json::parse(response.body_str()).unwrap();
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    // Pipelined: two full requests written before either response is read.
+    client.send("GET", "/healthz", "").unwrap();
+    client.send("GET", "/stats", "").unwrap();
+    assert_eq!(client.read().unwrap().status, 200);
+    assert_eq!(client.read().unwrap().status, 200);
+    // No route: 404 for GET/POST, 405 for any other method, and the
+    // connection stays open.
+    record(client.request("GET", "/nope", "").unwrap(), 404);
+    record(client.request("DELETE", "/healthz", "").unwrap(), 405);
+    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+    drop(client);
+
+    // A malformed second request gets a 400 and the connection closes —
+    // but the worker survives to serve new connections.
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+    client
+        .stream_mut()
+        .write_all(b"NOT-A-REQUEST-LINE\r\n\r\n")
+        .unwrap();
+    record(client.read().unwrap(), 400);
+    assert!(client.closed(), "connection closes after a parse error");
+    let mut fresh = Client::connect(addr).unwrap();
+    let response = fresh.request("GET", "/healthz", "").unwrap();
+    assert_eq!(response.status, 200, "worker was not poisoned");
+    drop(fresh);
+
+    // Oversized head: 431, then close.
+    let mut client = Client::connect(addr).unwrap();
+    let huge_header = format!(
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nX-Padding: {}\r\n\r\n",
+        "x".repeat(32 * 1024)
+    );
+    client
+        .stream_mut()
+        .write_all(huge_header.as_bytes())
+        .unwrap();
+    record(client.read().unwrap(), 431);
+    assert!(client.closed());
+
+    // Oversized declared body: 413, then close.
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .stream_mut()
+        .write_all(b"POST /align HTTP/1.1\r\nHost: test\r\nContent-Length: 268435456\r\n\r\n")
+        .unwrap();
+    record(client.read().unwrap(), 413);
+    assert!(client.closed());
+
+    // Idle timeout: a connection parked past the keep-alive window is
+    // closed by the server.
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+    std::thread::sleep(Duration::from_millis(900));
+    assert!(client.closed(), "idle connection is reclaimed");
+
+    // An explicit Connection: close is honoured.
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .stream_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+        .unwrap();
+    let response = client.read().unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("connection"), Some("close"));
+    assert!(client.closed());
+    errors
+}
+
+/// The shard and the router serve through one request loop and one error
+/// writer, so the edge cases hold on both hops and every error body is
+/// byte-identical between them.
+#[test]
+fn http_edge_cases_under_keepalive() {
+    let keep_alive = Duration::from_millis(400);
+    let shard = Server::start(ServerConfig {
+        workers: 2,
+        keep_alive,
+        ..ServerConfig::default()
+    })
+    .expect("shard starts");
+    let router = Router::start(
+        RouterConfig {
+            keep_alive,
+            ..RouterConfig::default()
+        },
+        shard_set(&[&shard]),
+    )
+    .expect("router starts");
+
+    let from_shard = http_edge_cases(shard.addr());
+    let from_router = http_edge_cases(router.addr());
+    assert_eq!(from_shard, from_router);
+
+    router.shutdown();
+    shard.shutdown();
 }

@@ -255,10 +255,6 @@ impl DurableStore {
         self
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn file(&self, key: &CacheKey, extension: &str) -> PathBuf {
         self.dir.join(format!(
             "{:016x}-{:016x}-{:016x}.{extension}",

@@ -13,13 +13,15 @@
 //! A connection serves **many requests per socket**, but a worker only ever
 //! holds it for one request *burst*: between requests the socket parks in
 //! the runtime's reactor (`crate::reactor`), and when it becomes readable a
-//! pool worker parses one request with [`read_request_limited`], writes one
-//! response, serves any pipelined requests already buffered, and hands the
-//! socket back to the reactor while [`Request::keep_alive`] holds.
-//! `HTTP/1.1` defaults to keep-alive, `HTTP/1.0` to close; a
-//! `Connection: close`/`keep-alive` header overrides either way.  Any parse
-//! error closes the connection after the error response — resynchronising
-//! inside a hostile byte stream is not worth the attack surface.
+//! pool worker runs [`serve_burst`](crate::runtime::serve_burst) — the one
+//! request loop both the shard and the fleet router use.  It parses one
+//! request with [`read_request_limited`], writes one response, serves any
+//! pipelined requests already buffered, and hands the socket back to the
+//! reactor while [`Request::keep_alive`] holds.  `HTTP/1.1` defaults to
+//! keep-alive, `HTTP/1.0` to close; a `Connection: close`/`keep-alive`
+//! header overrides either way.  Any parse error closes the connection after
+//! the error response — resynchronising inside a hostile byte stream is not
+//! worth the attack surface.
 //!
 //! Slow-client defenses live in [`ReadLimits`]: the request head must
 //! *complete* within a head deadline (a slow-header drip cannot ride
@@ -31,12 +33,16 @@
 //! ## Responses
 //!
 //! Small bodies go out in one `Content-Length` write
-//! ([`write_json_response`]).  Large bodies (the 100k-anchor alignment case)
-//! stream through a [`ChunkedWriter`] as `Transfer-Encoding: chunked`, so
-//! the response never materialises as one giant `String`; the writer
-//! implements [`std::fmt::Write`], which lets the same rendering code fill
-//! either a `String` or the wire.
+//! ([`write_json_response`]).  Every structured error — parse failures,
+//! missing routes, back-pressure `429`/`503`/`504`, the router's `502` — is
+//! a [`ServeError`] written by [`write_error`].  Large bodies (the
+//! 100k-anchor alignment case) stream through a [`ChunkedWriter`] as
+//! `Transfer-Encoding: chunked`, so the response never materialises as one
+//! giant `String`; the writer implements [`std::fmt::Write`], which lets the
+//! same rendering code fill either a `String` or the wire.
 
+use crate::json;
+use htc_core::HtcError;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -119,27 +125,115 @@ pub struct Request {
 impl Request {
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
-/// A request-level failure that should turn into an HTTP error response.
-#[derive(Debug)]
-pub struct HttpError {
-    pub status: u16,
-    pub message: String,
+/// The one header lookup behind [`Request::header`],
+/// [`ResponseHead::header`] and [`ClientResponse::header`]: the first value
+/// whose (lower-cased) name matches `name` case-insensitively.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let name = name.to_ascii_lowercase();
+    headers
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v.as_str())
 }
 
-impl HttpError {
-    pub fn bad_request(message: impl Into<String>) -> Self {
+/// A request-level failure: HTTP status, machine-readable kind, message, and
+/// — for the back-pressure statuses — an optional retry hint that also
+/// becomes the `Retry-After` response header.  The only structured error on
+/// either hop: request parse failures (`kind: "http"`), routing misses, the
+/// runtime's shed and peer-cap refusals, the router's `502` and every
+/// pipeline failure render as `{"error", "kind"}` (plus `retry_after_ms` and
+/// `queue_depth` on `429`/`503`/`504`) and go out through [`write_error`].
+#[derive(Debug, Clone)]
+pub struct ServeError {
+    pub status: u16,
+    pub kind: &'static str,
+    pub message: String,
+    pub retry_after_ms: Option<u64>,
+}
+
+impl ServeError {
+    pub(crate) fn new(status: u16, kind: &'static str, message: impl Into<String>) -> Self {
         Self {
-            status: 400,
+            status,
+            kind,
             message: message.into(),
+            retry_after_ms: None,
         }
+    }
+
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
+        Self::new(400, "bad_request", message)
+    }
+
+    pub(crate) fn internal(message: impl Into<String>) -> Self {
+        Self::new(500, "internal", message)
+    }
+
+    pub(crate) fn deadline_exceeded(message: impl Into<String>) -> Self {
+        Self::new(504, "deadline_exceeded", message)
+    }
+
+    pub(crate) fn retry_after(mut self, ms: u64) -> Self {
+        self.retry_after_ms = Some(ms);
+        self
+    }
+
+    /// A request the byte stream could not be parsed into: the connection
+    /// closes after this reply.
+    fn http(status: u16, message: impl Into<String>) -> Self {
+        Self::new(status, "http", message)
+    }
+
+    /// The reply for a request no route matched: `404` for the methods the
+    /// daemons serve (`GET`, `POST`), `405` for any other method.
+    pub fn no_route(method: &str, path: &str) -> Self {
+        match method {
+            "GET" | "POST" => Self::new(404, "not_found", format!("no route {path}")),
+            _ => Self::new(
+                405,
+                "method_not_allowed",
+                format!("method {method} not allowed"),
+            ),
+        }
+    }
+
+    /// Renders the structured error body.  Every back-pressure response
+    /// (429/503/504) carries `retry_after_ms` and the live `queue_depth` so
+    /// clients can back off proportionally instead of guessing.
+    pub(crate) fn to_json(&self, queue_depth: u64) -> String {
+        let mut fields = vec![
+            ("error", json::str(self.message.clone())),
+            ("kind", json::str(self.kind)),
+        ];
+        if matches!(self.status, 429 | 503 | 504) {
+            fields.push((
+                "retry_after_ms",
+                json::num(self.retry_after_ms.unwrap_or(0) as f64),
+            ));
+            fields.push(("queue_depth", json::num(queue_depth as f64)));
+        }
+        json::obj(fields).render()
+    }
+}
+
+impl From<HtcError> for ServeError {
+    fn from(e: HtcError) -> Self {
+        let (status, kind) = match &e {
+            // Untrusted persisted bytes and incompatible artifacts are the
+            // client's problem, reported as unprocessable — never a panic.
+            HtcError::Persistence(_) => (422, "invalid_artifact"),
+            HtcError::Io(_) => (422, "artifact_io"),
+            HtcError::InvalidConfig(_) => (422, "invalid_config"),
+            HtcError::AttributeDimensionMismatch { .. } => (422, "dimension_mismatch"),
+            HtcError::EmptyNetwork => (422, "empty_network"),
+            HtcError::Cancelled => (503, "cancelled"),
+            HtcError::Linalg(_) => (500, "internal"),
+        };
+        Self::new(status, kind, e.to_string())
     }
 }
 
@@ -150,31 +244,22 @@ fn arm_read_timeout(
     reader: &BufReader<TcpStream>,
     deadline: Instant,
     stall: Duration,
-) -> Result<(), HttpError> {
+) -> Result<(), ServeError> {
     let remaining = deadline
         .checked_duration_since(Instant::now())
         .filter(|d| !d.is_zero())
-        .ok_or_else(|| HttpError {
-            status: 408,
-            message: "request took too long to arrive".into(),
-        })?;
+        .ok_or_else(|| ServeError::http(408, "request took too long to arrive"))?;
     reader
         .get_ref()
         .set_read_timeout(Some(remaining.min(stall)))
-        .map_err(|e| HttpError::bad_request(format!("socket: {e}")))
+        .map_err(|e| ServeError::http(400, format!("socket: {e}")))
 }
 
-fn read_error(e: std::io::Error, what: &str) -> HttpError {
-    if matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ) {
-        HttpError {
-            status: 408,
-            message: format!("timed out reading {what}"),
-        }
+fn read_error(e: std::io::Error, what: &str) -> ServeError {
+    if is_stall_error(&e) {
+        ServeError::http(408, format!("timed out reading {what}"))
     } else {
-        HttpError::bad_request(format!("reading {what}: {e}"))
+        ServeError::http(400, format!("reading {what}: {e}"))
     }
 }
 
@@ -187,7 +272,7 @@ fn read_line_limited(
     deadline: Instant,
     stall: Duration,
     what: &str,
-) -> Result<String, HttpError> {
+) -> Result<String, ServeError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         arm_read_timeout(reader, deadline, stall)?;
@@ -196,26 +281,24 @@ fn read_line_limited(
             Err(e) => return Err(read_error(e, what)),
         };
         if buf.is_empty() {
-            return Err(HttpError::bad_request(format!(
-                "connection closed mid-{what}"
-            )));
+            return Err(ServeError::http(
+                400,
+                format!("connection closed mid-{what}"),
+            ));
         }
         let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
             Some(pos) => (&buf[..=pos], true),
             None => (buf, false),
         };
         if line.len() + chunk.len() > limit {
-            return Err(HttpError {
-                status: 431,
-                message: "request head too large".into(),
-            });
+            return Err(ServeError::http(431, "request head too large"));
         }
         line.extend_from_slice(chunk);
         let consumed = chunk.len();
         reader.consume(consumed);
         if found_newline {
             return String::from_utf8(line)
-                .map_err(|_| HttpError::bad_request(format!("{what} is not UTF-8")));
+                .map_err(|_| ServeError::http(400, format!("{what} is not UTF-8")));
         }
     }
 }
@@ -229,7 +312,7 @@ fn read_line_limited(
 pub fn read_request_limited(
     reader: &mut BufReader<TcpStream>,
     limits: &ReadLimits,
-) -> Result<Request, HttpError> {
+) -> Result<Request, ServeError> {
     let start = Instant::now();
     let head_deadline = start + limits.head_deadline.min(limits.total);
     let deadline = start + limits.total;
@@ -240,11 +323,11 @@ pub fn read_request_limited(
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| HttpError::bad_request("empty request line"))?
+        .ok_or_else(|| ServeError::http(400, "empty request line"))?
         .to_string();
     let path = parts
         .next()
-        .ok_or_else(|| HttpError::bad_request("request line has no path"))?
+        .ok_or_else(|| ServeError::http(400, "request line has no path"))?
         .to_string();
     // HTTP/1.1 (and anything newer or unstated) defaults to keep-alive;
     // HTTP/1.0 to close.
@@ -269,7 +352,7 @@ pub fn read_request_limited(
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| HttpError::bad_request("bad Content-Length"))?;
+                    .map_err(|_| ServeError::http(400, "bad Content-Length"))?;
             } else if name.eq_ignore_ascii_case("connection") {
                 let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
@@ -284,10 +367,10 @@ pub fn read_request_limited(
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(HttpError {
-            status: 413,
-            message: format!("request body exceeds {MAX_BODY_BYTES} bytes"),
-        });
+        return Err(ServeError::http(
+            413,
+            format!("request body exceeds {MAX_BODY_BYTES} bytes"),
+        ));
     }
     // The body is read in deadline-checked steps rather than one read_exact:
     // a peer drip-feeding a large body must exhaust the request deadline,
@@ -297,7 +380,7 @@ pub fn read_request_limited(
     while filled < content_length {
         arm_read_timeout(reader, deadline, stall)?;
         match reader.read(&mut body[filled..]) {
-            Ok(0) => return Err(HttpError::bad_request("connection closed mid-body")),
+            Ok(0) => return Err(ServeError::http(400, "connection closed mid-body")),
             Ok(n) => filled += n,
             Err(e) => return Err(read_error(e, "body")),
         }
@@ -356,13 +439,30 @@ pub fn write_json_response(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_json_response_with(stream, status, body, keep_alive, None)
+    write_json(stream, status, body, keep_alive, None)
 }
 
-/// [`write_json_response`] with an optional `Retry-After` header (seconds) —
-/// the backpressure responses (`429`/`503`/`504`) carry their backoff hint in
-/// both the header and the structured JSON body.
-pub fn write_json_response_with(
+/// Writes a structured error response and flushes — the one writer of
+/// [`ServeError`]s.  An error carrying a retry hint also gets a
+/// `Retry-After` header of `ceil(ms / 1000)` seconds, at least 1; the
+/// back-pressure statuses embed `queue_depth` in the body.
+pub fn write_error(
+    stream: &mut TcpStream,
+    err: &ServeError,
+    queue_depth: u64,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    let retry_after_secs = err.retry_after_ms.map(|ms| ms.div_ceil(1000).max(1));
+    write_json(
+        stream,
+        err.status,
+        &err.to_json(queue_depth),
+        keep_alive,
+        retry_after_secs,
+    )
+}
+
+fn write_json(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
@@ -378,23 +478,6 @@ pub fn write_json_response_with(
         status_text(status),
         body.len(),
         connection_header(keep_alive),
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes a `503 Service Unavailable` with a `Retry-After` hint — the
-/// load-shedding response the acceptor sends when the worker queue is full.
-/// Kept separate from [`write_json_response`] because it is the one response
-/// written outside the worker pool and must carry the extra header.
-pub fn write_retry_after(
-    stream: &mut TcpStream,
-    retry_after_secs: u32,
-    body: &str,
-) -> std::io::Result<()> {
-    let response = format!(
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
     );
     stream.write_all(response.as_bytes())?;
     stream.flush()
@@ -554,17 +637,7 @@ impl Client {
         close: bool,
         headers: &[(&str, &str)],
     ) -> std::io::Result<()> {
-        let connection = if close { "close" } else { "keep-alive" };
-        let mut extra = String::new();
-        for (name, value) in headers {
-            extra.push_str(&format!("{name}: {value}\r\n"));
-        }
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: client\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n{extra}Connection: {connection}\r\n\r\n{body}",
-            body.len()
-        );
-        self.reader.get_mut().write_all(request.as_bytes())
+        self.send_request_bytes(method, path, body.as_bytes(), close, headers)
     }
 
     /// Writes one keep-alive request.
@@ -653,11 +726,7 @@ pub struct ClientResponse {
 
 impl ClientResponse {
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     pub fn body_str(&self) -> &str {
@@ -830,11 +899,7 @@ pub struct ResponseHead {
 
 impl ResponseHead {
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 

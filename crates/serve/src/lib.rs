@@ -9,9 +9,11 @@
 //! loop (epoll/kqueue via raw syscalls — no libc, no mio) that parks idle
 //! keep-alive sockets and enforces idle timeouts on a timer wheel,
 //! [`runtime`] the acceptor + reactor + bounded worker-pool executor with
-//! `503 Retry-After` load shedding and per-peer connection caps, [`http`]
-//! the persistent-connection HTTP/1.1 subset (keep-alive, slow-client read
-//! deadlines, chunked response streaming), [`json`] the JSON subset,
+//! `503 Retry-After` load shedding, per-peer connection caps and the
+//! request-burst loop the shard and the fleet router share, [`http`] the
+//! persistent-connection HTTP/1.1 subset (keep-alive, slow-client read
+//! deadlines, chunked response streaming, the one structured error
+//! [`ServeError`]), [`json`] the JSON subset,
 //! [`cache`] the fingerprint-keyed LRU artifact cache with its durable
 //! `--cache-dir` spill layer, and [`server`] the routing, request batching
 //! and panic recovery.  Worker occupancy is per in-flight *request burst*,
@@ -68,9 +70,10 @@ pub mod signal;
 pub use cache::{attribute_fingerprint, ArtifactCache, CacheKey, CacheStats, DurableStore};
 pub use fair::{FairnessConfig, PeerLimiter, SourceGate};
 pub use fault::{FaultPlan, WriteFault};
+pub use http::ServeError;
 pub use runtime::{
     default_workers, Conn, ConnHandler, ConnectionRuntime, Disposition, RuntimeConfig,
     RuntimeMetrics,
 };
-pub use server::{routing_fingerprint, ServeError, Server, ServerConfig};
+pub use server::{routing_fingerprint, Server, ServerConfig};
 pub use signal::install_shutdown_handler;

@@ -525,7 +525,6 @@ impl Reactor {
         queue: Arc<Queue>,
         metrics: Arc<RuntimeMetrics>,
         queue_capacity: usize,
-        retry_after_secs: u32,
     ) -> io::Result<Reactor> {
         let poller = Poller::new()?;
         let shared = Arc::new(Shared {
@@ -546,7 +545,6 @@ impl Reactor {
                     queue,
                     metrics,
                     queue_capacity,
-                    retry_after_secs,
                 );
             })?;
         Ok(Reactor {
@@ -585,7 +583,6 @@ impl Shared {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     poller: Poller,
     shared: Arc<Shared>,
@@ -593,7 +590,6 @@ fn run(
     queue: Arc<Queue>,
     metrics: Arc<RuntimeMetrics>,
     queue_capacity: usize,
-    retry_after_secs: u32,
 ) {
     let mut wheel = Wheel::new(idle_timeout);
     let mut parked: HashMap<u64, ParkedConn> = HashMap::new();
@@ -621,14 +617,7 @@ fn run(
             poller.del(entry.conn.raw_fd());
             metrics.parked.dec();
             if ready.readable {
-                dispatch(
-                    entry.conn,
-                    &queue,
-                    &metrics,
-                    queue_capacity,
-                    retry_after_secs,
-                    ready.hup,
-                );
+                dispatch(entry.conn, &queue, &metrics, queue_capacity, ready.hup);
             }
             // else: HUP/ERR with nothing to read — the peer vanished while
             // parked; dropping the Conn closes our half.
@@ -671,7 +660,6 @@ fn dispatch(
     queue: &Queue,
     metrics: &RuntimeMetrics,
     capacity: usize,
-    retry_after_secs: u32,
     peer_gone: bool,
 ) {
     // The dispatch stamp anchors the burst's request deadline: queue wait
@@ -687,7 +675,7 @@ fn dispatch(
                 drop(rejected);
             } else {
                 metrics.shed_connections.inc();
-                shed_conn(rejected, retry_after_secs, metrics.queue_depth.get());
+                shed_conn(rejected, metrics.queue_depth.get());
             }
         }
     }

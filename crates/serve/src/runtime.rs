@@ -28,15 +28,24 @@
 //!   connections are still served), and every worker **and** the reactor are
 //!   joined before [`ConnectionRuntime::join`] returns.
 //!
-//! The runtime stays protocol-agnostic: the handler closure owns the burst
-//! loop over a [`Conn`] (see `server::handle_connection`) and reports how
-//! the connection should continue via its [`Disposition`].
+//! The pool itself is protocol-agnostic — a [`ConnHandler`] serves one burst
+//! on a [`Conn`] and reports how the connection continues via its
+//! [`Disposition`].  The HTTP burst loop both daemons run lives here too, in
+//! [`serve_burst`]: the FIN peek, the deadline anchor, request parsing with
+//! its stall accounting, keep-alive and pipelining, the `/shutdown` ordering
+//! and the one structured error writer.  The shard and the fleet router hand
+//! it only a per-request route returning a [`Reply`], so each hop has exactly
+//! one place where a request is read, timed and answered.
 
-use crate::http::write_retry_after;
+use crate::http::{
+    is_stall_error, read_request_limited, write_error, write_json_response, ReadLimits, Request,
+    ServeError,
+};
+use crate::json;
 use crate::reactor::Reactor;
 use htc_metrics::{Counter, Gauge};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,6 +54,10 @@ use std::time::{Duration, Instant};
 
 /// Hard ceiling on the worker pool, mirroring the compute pool's cap.
 pub const MAX_WORKERS: usize = 256;
+
+/// `Retry-After` hint (seconds) on the runtime's own refusals: the shed
+/// `503` and the peer-cap `429`.
+const RETRY_AFTER_SECS: u64 = 1;
 
 /// Read-buffer size for each connection.  Small on purpose: with ten
 /// thousand parked connections the buffers dominate per-connection memory,
@@ -69,8 +82,6 @@ pub struct RuntimeConfig {
     /// Readable connections waiting for a worker beyond this count are shed
     /// with `503 Retry-After`.
     pub queue_capacity: usize,
-    /// `Retry-After` hint (seconds) sent with shed connections.
-    pub retry_after_secs: u32,
     /// How long a parked connection may sit idle between requests before the
     /// reactor closes it (the HTTP keep-alive timeout).
     pub idle_timeout: Duration,
@@ -97,7 +108,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: default_workers(),
             queue_capacity: 128,
-            retry_after_secs: 1,
             idle_timeout: Duration::from_secs(15),
             stall_timeout: Duration::from_secs(5),
             peer_max_conns: 0,
@@ -163,8 +173,8 @@ pub struct RuntimeMetrics {
     pub peer_cap_rejections: Counter,
     /// Connections ever accepted (including shed and refused ones).
     pub total_connections: Counter,
-    /// HTTP requests served across all connections (incremented by the
-    /// protocol handler, one per parsed request).
+    /// HTTP requests served across all connections (incremented by
+    /// [`serve_burst`], one per parsed request).
     pub total_requests: Counter,
     /// Connections answered `503` because the queue was full.
     pub shed_connections: Counter,
@@ -286,9 +296,7 @@ pub struct Conn {
     /// `try_clone` split would cost — at 10 000 idle clients that halves the
     /// server's fd footprint.
     reader: BufReader<TcpStream>,
-    accepted_at: Instant,
     dispatched_at: Instant,
-    requests_served: u64,
     /// Held for the connection's lifetime; dropping it releases the peer's
     /// connection-cap slot.
     _peer_slot: Option<PeerSlot>,
@@ -296,12 +304,9 @@ pub struct Conn {
 
 impl Conn {
     fn new(stream: TcpStream, peer_slot: Option<PeerSlot>) -> Conn {
-        let accepted_at = Instant::now();
         Conn {
             reader: BufReader::with_capacity(CONN_BUF_BYTES, stream),
-            accepted_at,
-            dispatched_at: accepted_at,
-            requests_served: 0,
+            dispatched_at: Instant::now(),
             _peer_slot: peer_slot,
         }
     }
@@ -320,11 +325,6 @@ impl Conn {
         self.reader.get_mut()
     }
 
-    /// When the acceptor took this connection.
-    pub fn accepted_at(&self) -> Instant {
-        self.accepted_at
-    }
-
     /// When the reactor last handed this connection to the worker pool — the
     /// deadline anchor for the burst's first request.  Queue wait counts
     /// against the request budget; parked idle time (the client's own) does
@@ -337,17 +337,6 @@ impl Conn {
     /// Stamped by the reactor as it hands the connection to the pool.
     pub(crate) fn note_dispatched(&mut self) {
         self.dispatched_at = Instant::now();
-    }
-
-    /// Requests completed on this connection so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
-    /// Records one completed request (drives the first-request deadline
-    /// anchor and the reuse accounting).
-    pub fn note_request(&mut self) {
-        self.requests_served += 1;
     }
 
     /// Whether a pipelined request is already buffered — if so the burst
@@ -381,6 +370,124 @@ pub enum Disposition {
 /// The protocol handler: serves one request burst on a dispatched
 /// connection and reports how the connection should continue.
 pub type ConnHandler = Arc<dyn Fn(&mut Conn) -> Disposition + Send + Sync>;
+
+/// What a [`serve_burst`] route produced for one request.
+pub enum Reply {
+    /// A JSON body to send with this status.
+    Json(u16, String),
+    /// A structured error, sent through [`write_error`].
+    Error(ServeError),
+    /// The route wrote its own response.  `Ok(false)` means the connection
+    /// cannot be reused (a relay torn mid-body).
+    Written(std::io::Result<bool>),
+    /// `POST /shutdown`: the acknowledgement is written and flushed, then the
+    /// shutdown signal fires and the connection closes.
+    Shutdown,
+}
+
+/// Serves one request *burst* on a dispatched connection: the request that
+/// made the socket readable, plus any pipelined requests already buffered.
+/// `route` answers one parsed request, given its deadline anchor, whether
+/// the connection stays open after it, and the socket for routes that write
+/// their own response.
+///
+/// The first request's anchor is the reactor's dispatch stamp, so queue wait
+/// counts against a request budget but parked idle time (the client's own)
+/// does not; pipelined successors anchor at the moment they are read.  A
+/// request that fails to parse is answered with a `kind: "http"` error and
+/// the connection closes.  Read and write stalls are counted in
+/// [`RuntimeMetrics::stall_timeouts_closed`].
+///
+/// Returns [`Disposition::KeepAlive`] to park the socket back in the reactor
+/// between requests, [`Disposition::Close`] to end the connection (peer
+/// hangup, parse error, stall teardown, `Connection: close`, or shutdown).
+pub fn serve_burst(
+    conn: &mut Conn,
+    limits: &ReadLimits,
+    metrics: &RuntimeMetrics,
+    shutdown: &ShutdownSignal,
+    mut route: impl FnMut(&Request, Instant, bool, &mut TcpStream) -> Reply,
+) -> Disposition {
+    let mut anchor = conn.dispatched_at();
+    loop {
+        if !conn.has_buffered() {
+            // A dispatch with no buffered bytes is either the first request
+            // of the burst or a clean FIN from a parked peer; peek before
+            // parsing so a normal hangup is not answered with a 400.
+            let reader = conn.reader_mut();
+            if reader
+                .get_ref()
+                .set_read_timeout(Some(limits.stall))
+                .is_err()
+            {
+                return Disposition::Close;
+            }
+            match reader.fill_buf() {
+                Ok([]) => return Disposition::Close,
+                Ok(_) => {}
+                Err(e) => {
+                    if is_stall_error(&e) {
+                        metrics.stall_timeouts_closed.inc();
+                    }
+                    return Disposition::Close;
+                }
+            }
+        }
+        let request = match read_request_limited(conn.reader_mut(), limits) {
+            Ok(request) => request,
+            Err(err) => {
+                if err.status == 408 {
+                    metrics.stall_timeouts_closed.inc();
+                }
+                // A connection whose byte stream failed to parse is not worth
+                // resynchronising: answer and close.  The worker itself moves
+                // on to the next dispatched connection unharmed.
+                let _ = write_error(conn.stream_mut(), &err, metrics.queue_depth.get(), false);
+                return Disposition::Close;
+            }
+        };
+        metrics.total_requests.inc();
+        let keep_alive = request.keep_alive && !shutdown.is_triggered();
+        let stream = conn.stream_mut();
+        let written = match route(&request, anchor, keep_alive, stream) {
+            Reply::Json(status, body) => {
+                write_json_response(stream, status, &body, keep_alive).map(|()| true)
+            }
+            Reply::Error(err) => {
+                write_error(stream, &err, metrics.queue_depth.get(), keep_alive).map(|()| true)
+            }
+            Reply::Written(outcome) => outcome,
+            Reply::Shutdown => {
+                // Deterministic shutdown: the acknowledgement is fully
+                // written and flushed *before* the drain begins — no helper
+                // thread racing the response out of the process.
+                let body = json::obj(vec![("status", json::str("stopping"))]).render();
+                let _ = write_json_response(stream, 200, &body, false);
+                shutdown.trigger();
+                return Disposition::Close;
+            }
+        };
+        match written {
+            Ok(true) if keep_alive => {}
+            Ok(_) => return Disposition::Close,
+            Err(e) => {
+                // A write that timed out (rather than failed outright) is a
+                // stalled reader: the kernel send buffer absorbed what it
+                // could and the peer stopped draining it.
+                if is_stall_error(&e) {
+                    metrics.stall_timeouts_closed.inc();
+                }
+                return Disposition::Close;
+            }
+        }
+        if !conn.has_buffered() {
+            // Burst over: nothing pipelined behind this request, so hand the
+            // socket back to the reactor until it is readable again.
+            return Disposition::KeepAlive;
+        }
+        anchor = Instant::now();
+    }
+}
 
 pub(crate) struct Queue {
     state: Mutex<QueueState>,
@@ -446,7 +553,6 @@ pub struct ConnectionRuntime {
     accept_thread: Option<std::thread::JoinHandle<()>>,
     metrics: Arc<RuntimeMetrics>,
     shutdown: Arc<ShutdownSignal>,
-    workers: usize,
 }
 
 impl ConnectionRuntime {
@@ -475,7 +581,6 @@ impl ConnectionRuntime {
             Arc::clone(&queue),
             Arc::clone(&metrics),
             config.queue_capacity.max(1),
-            config.retry_after_secs,
         )?;
         let reactor_handle = reactor.handle();
 
@@ -544,16 +649,11 @@ impl ConnectionRuntime {
             accept_thread: Some(accept_thread),
             metrics,
             shutdown,
-            workers,
         })
     }
 
     pub fn metrics(&self) -> Arc<RuntimeMetrics> {
         Arc::clone(&self.metrics)
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Waits until the accept loop has exited, the reactor has reaped every
@@ -604,7 +704,7 @@ fn accept_loop(
                     Some(slot) => Some(slot),
                     None => {
                         metrics.peer_cap_rejections.inc();
-                        reject_peer_cap(stream, config.retry_after_secs);
+                        reject_peer_cap(stream, metrics.queue_depth.get());
                         continue;
                     }
                 },
@@ -631,20 +731,15 @@ fn accept_loop(
 /// Refuses one over-cap connection from a greedy peer: a bounded-write `429`
 /// with a backoff hint, then close.  Runs on the acceptor thread, so every
 /// wait is tightly bounded.
-fn reject_peer_cap(mut stream: TcpStream, retry_after_secs: u32) {
+fn reject_peer_cap(mut stream: TcpStream, queue_depth: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let body = format!(
-        "{{\"error\":\"too many connections from this peer\",\
-         \"kind\":\"peer_connection_cap\",\"retry_after_ms\":{}}}",
-        u64::from(retry_after_secs) * 1000,
-    );
-    let response = format!(
-        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    use std::io::Write;
-    let _ = stream.write_all(response.as_bytes());
+    let err = ServeError::new(
+        429,
+        "peer_connection_cap",
+        "too many connections from this peer",
+    )
+    .retry_after(RETRY_AFTER_SECS * 1000);
+    let _ = write_error(&mut stream, &err, queue_depth, false);
 }
 
 /// Sheds one over-capacity connection: writes the `503 Retry-After`, sends
@@ -654,18 +749,14 @@ fn reject_peer_cap(mut stream: TcpStream, retry_after_secs: u32) {
 /// instead of the explicit backoff hint.  All waits are tightly bounded
 /// because this runs on the reactor thread: a well-behaved peer drains in
 /// one non-blocking read; a hostile one costs at most ~160 ms.
-pub(crate) fn shed_conn(conn: Conn, retry_after_secs: u32, queue_depth: u64) {
+pub(crate) fn shed_conn(conn: Conn, queue_depth: u64) {
     let mut rejected = conn.into_stream();
     rejected
         .set_write_timeout(Some(Duration::from_secs(1)))
         .ok();
-    let body = format!(
-        "{{\"error\":\"server is at capacity\",\"kind\":\"overloaded\",\
-         \"retry_after_ms\":{},\"queue_depth\":{queue_depth}}}",
-        u64::from(retry_after_secs) * 1000,
-    );
-    let written = write_retry_after(&mut rejected, retry_after_secs, &body);
-    if written.is_err() {
+    let err = ServeError::new(503, "overloaded", "server is at capacity")
+        .retry_after(RETRY_AFTER_SECS * 1000);
+    if write_error(&mut rejected, &err, queue_depth, false).is_err() {
         return;
     }
     let _ = rejected.shutdown(std::net::Shutdown::Write);
@@ -686,14 +777,34 @@ mod tests {
     use super::*;
     use std::io::Write;
 
-    fn test_config(workers: usize, queue_capacity: usize, retry_after_secs: u32) -> RuntimeConfig {
+    fn test_config(workers: usize, queue_capacity: usize) -> RuntimeConfig {
         RuntimeConfig {
             workers,
             queue_capacity,
-            retry_after_secs,
             idle_timeout: Duration::from_secs(10),
             ..RuntimeConfig::default()
         }
+    }
+
+    /// The runtime's own refusals carry the structured back-pressure body:
+    /// `kind`, a one-second `retry_after_ms` and the live `queue_depth`.
+    fn assert_structured_refusal(response: &str, kind: &str) {
+        let (_, body) = response
+            .split_once("\r\n\r\n")
+            .expect("response has a body");
+        let body = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        assert_eq!(body.get("kind").and_then(json::Json::as_str), Some(kind));
+        assert_eq!(
+            body.get("retry_after_ms").and_then(json::Json::as_f64),
+            Some(1000.0)
+        );
+        assert!(
+            body.get("queue_depth")
+                .and_then(json::Json::as_f64)
+                .is_some(),
+            "{}",
+            body.render()
+        );
     }
 
     #[test]
@@ -731,7 +842,7 @@ mod tests {
         });
         let mut runtime = ConnectionRuntime::start(
             listener,
-            test_config(2, 16, 1),
+            test_config(2, 16),
             Arc::clone(&shutdown),
             Arc::new(RuntimeMetrics::default()),
             handler,
@@ -787,7 +898,7 @@ mod tests {
         });
         let mut runtime = ConnectionRuntime::start(
             listener,
-            test_config(1, 4, 1),
+            test_config(1, 4),
             Arc::clone(&shutdown),
             Arc::new(RuntimeMetrics::default()),
             handler,
@@ -839,7 +950,7 @@ mod tests {
         });
         let mut runtime = ConnectionRuntime::start(
             listener,
-            test_config(1, 1, 7),
+            test_config(1, 1),
             Arc::clone(&shutdown),
             Arc::new(RuntimeMetrics::default()),
             handler,
@@ -878,8 +989,8 @@ mod tests {
         let mut response = String::new();
         shed.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 503"), "{response}");
-        assert!(response.contains("Retry-After: 7"), "{response}");
-        assert!(response.contains("overloaded"), "{response}");
+        assert!(response.contains("Retry-After: 1\r\n"), "{response}");
+        assert_structured_refusal(&response, "overloaded");
         assert_eq!(metrics.shed_connections.get(), 1);
 
         release_tx.send(()).unwrap();
@@ -931,7 +1042,8 @@ mod tests {
         let mut response = String::new();
         over.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 429"), "{response}");
-        assert!(response.contains("peer_connection_cap"), "{response}");
+        assert!(response.contains("Retry-After: 1\r\n"), "{response}");
+        assert_structured_refusal(&response, "peer_connection_cap");
         assert_eq!(metrics.peer_cap_rejections.get(), 1);
 
         // Closing one in-cap connection frees a slot for a fresh connect.

@@ -5,9 +5,10 @@
 //!
 //! 1. The connection parks in the event-driven reactor between requests
 //!    (see [`crate::runtime`] and [`crate::reactor`]); when it becomes
-//!    readable, a pool worker serves one request *burst* and hands the
-//!    socket back.  The JSON body is parsed and the **source** network
-//!    resolved (inline payload or persisted files).
+//!    readable, a pool worker runs [`serve_burst`] — the request loop the
+//!    fleet router shares — with this module's route, then hands the socket
+//!    back.  The JSON body is parsed and the **source** network resolved
+//!    (inline payload or persisted files).
 //! 2. The source is keyed by [`CacheKey`] — structural graph fingerprint,
 //!    attribute fingerprint, configuration tag — and looked up in the LRU
 //!    [`ArtifactCache`].  A hit reuses the cached
@@ -36,24 +37,20 @@
 use crate::cache::{attribute_fingerprint, ArtifactCache, CacheKey, DurableStore};
 use crate::fair::{FairnessConfig, PeerLimiter, SourceGate};
 use crate::fault::FaultPlan;
-use crate::http::{
-    begin_chunked_json, is_stall_error, read_request_limited, write_json_response,
-    write_json_response_with, HttpError, ReadLimits, Request,
-};
+use crate::http::{begin_chunked_json, write_json_response, ReadLimits, Request, ServeError};
 use crate::json::{self, Json};
 use crate::runtime::{
-    default_workers, Conn, ConnHandler, ConnectionRuntime, Disposition, RuntimeConfig,
-    RuntimeMetrics, ShutdownSignal,
+    default_workers, serve_burst, Conn, ConnHandler, ConnectionRuntime, Disposition, Reply,
+    RuntimeConfig, RuntimeMetrics, ShutdownSignal,
 };
 use htc_core::{
-    graph_fingerprint, AlignmentSession, DeadlineObserver, HtcConfig, HtcError, HtcResult,
-    ProgressObserver, TopologyViews, TrainedEncoder,
+    graph_fingerprint, AlignmentSession, DeadlineObserver, HtcConfig, HtcResult, ProgressObserver,
+    TopologyViews, TrainedEncoder,
 };
 use htc_graph::io::read_network;
 use htc_graph::{AttributedNetwork, Graph};
 use htc_linalg::DenseMatrix;
 use htc_metrics::StageTimer;
-use std::io::BufRead;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,80 +148,6 @@ impl Default for ServerConfig {
             shard_id: None,
             max_nodes: 0,
         }
-    }
-}
-
-/// A request-level failure: HTTP status, machine-readable kind, message, and
-/// — for the back-pressure statuses — an optional retry hint that also
-/// becomes the `Retry-After` response header.
-#[derive(Debug, Clone)]
-pub struct ServeError {
-    pub status: u16,
-    pub kind: &'static str,
-    pub message: String,
-    pub retry_after_ms: Option<u64>,
-}
-
-impl ServeError {
-    fn new(status: u16, kind: &'static str, message: impl Into<String>) -> Self {
-        Self {
-            status,
-            kind,
-            message: message.into(),
-            retry_after_ms: None,
-        }
-    }
-
-    fn bad_request(message: impl Into<String>) -> Self {
-        Self::new(400, "bad_request", message)
-    }
-
-    fn internal(message: impl Into<String>) -> Self {
-        Self::new(500, "internal", message)
-    }
-
-    fn deadline_exceeded(message: impl Into<String>) -> Self {
-        Self::new(504, "deadline_exceeded", message)
-    }
-
-    fn retry_after(mut self, ms: u64) -> Self {
-        self.retry_after_ms = Some(ms);
-        self
-    }
-
-    /// Renders the structured error body.  Every back-pressure response
-    /// (429/503/504) carries `retry_after_ms` and the live `queue_depth` so
-    /// clients can back off proportionally instead of guessing.
-    fn to_json(&self, queue_depth: u64) -> String {
-        let mut fields = vec![
-            ("error", json::str(self.message.clone())),
-            ("kind", json::str(self.kind)),
-        ];
-        if matches!(self.status, 429 | 503 | 504) {
-            fields.push((
-                "retry_after_ms",
-                json::num(self.retry_after_ms.unwrap_or(0) as f64),
-            ));
-            fields.push(("queue_depth", json::num(queue_depth as f64)));
-        }
-        json::obj(fields).render()
-    }
-}
-
-impl From<HtcError> for ServeError {
-    fn from(e: HtcError) -> Self {
-        let (status, kind) = match &e {
-            // Untrusted persisted bytes and incompatible artifacts are the
-            // client's problem, reported as unprocessable — never a panic.
-            HtcError::Persistence(_) => (422, "invalid_artifact"),
-            HtcError::Io(_) => (422, "artifact_io"),
-            HtcError::InvalidConfig(_) => (422, "invalid_config"),
-            HtcError::AttributeDimensionMismatch { .. } => (422, "dimension_mismatch"),
-            HtcError::EmptyNetwork => (422, "empty_network"),
-            HtcError::Cancelled => (503, "cancelled"),
-            HtcError::Linalg(_) => (500, "internal"),
-        };
-        Self::new(status, kind, e.to_string())
     }
 }
 
@@ -327,7 +250,6 @@ impl Server {
         let runtime_config = RuntimeConfig {
             workers: config.workers,
             queue_capacity: config.queue_capacity,
-            retry_after_secs: 1,
             idle_timeout: config.keep_alive,
             stall_timeout: config.stall_timeout,
             peer_max_conns: config.peer_max_conns,
@@ -386,19 +308,16 @@ impl Server {
     }
 }
 
-/// What a routed request produces: a ready body, a structured error (which
-/// may carry a `Retry-After` header), a large alignment to stream, or the
-/// shutdown acknowledgement that must flush before the runtime begins
-/// draining.
-enum Reply {
-    Json(u16, String),
-    Error(ServeError),
+/// What the panic-guarded route produces: a finished [`Reply`], or an
+/// alignment to write once the guard is left — a renderer panic must never
+/// turn into a 500 written over half a body.
+enum Routed {
+    Reply(Reply),
     Align {
         outcome: BatchOutcome,
         cache_hit: bool,
         pairwise: bool,
     },
-    Shutdown(String),
 }
 
 /// Per-request lifecycle context threaded from the connection loop into the
@@ -431,11 +350,10 @@ fn request_deadline(
     }
 }
 
-/// Serves one request *burst* on a dispatched connection: the request that
-/// made the socket readable, plus any pipelined requests already buffered.
-/// Returns [`Disposition::KeepAlive`] to park the socket back in the reactor
-/// between requests, [`Disposition::Close`] to end the connection (peer
-/// hangup, parse error, stall teardown, `Connection: close`, or shutdown).
+/// Serves one request burst on a dispatched connection through
+/// [`serve_burst`]; this hop adds the peer identity for rate limiting, its
+/// read limits, the fault plan's socket delay, [`pre_route`] and the panic
+/// boundary around routing.
 fn handle_connection(conn: &mut Conn, shared: &Arc<Shared>) -> Disposition {
     let peer_ip = conn
         .stream()
@@ -449,135 +367,53 @@ fn handle_connection(conn: &mut Conn, shared: &Arc<Shared>) -> Disposition {
     } else {
         ReadLimits::with_stall(shared.config.stall_timeout)
     };
-    let mut served_in_burst = 0u64;
-    loop {
-        if !conn.has_buffered() {
-            // A dispatch with no buffered bytes is either the first request
-            // of the burst or a clean FIN from a parked peer; peek before
-            // parsing so a normal hangup is not answered with a 400.
-            let reader = conn.reader_mut();
-            if reader
-                .get_ref()
-                .set_read_timeout(Some(limits.stall))
-                .is_err()
-            {
-                return Disposition::Close;
-            }
-            match reader.fill_buf() {
-                Ok([]) => return Disposition::Close,
-                Ok(_) => {}
-                Err(e) => {
-                    if is_stall_error(&e) {
-                        shared.metrics.stall_timeouts_closed.inc();
-                    }
-                    return Disposition::Close;
+    serve_burst(
+        conn,
+        &limits,
+        &shared.metrics,
+        &shared.shutdown,
+        |request, anchor, keep_alive, stream| {
+            if let Some(fault) = &shared.config.fault {
+                // Injected slow socket: the request stalls before being
+                // served, which is how the chaos suite exercises client-side
+                // response deadlines and server-side queue-inclusive budgets.
+                if let Some(delay) = fault.socket_delay() {
+                    std::thread::sleep(delay);
                 }
             }
-        }
-        // First request of the burst: the budget covers queue wait (anchor =
-        // the reactor's dispatch stamp) but not parked idle time, which is
-        // the client's own.  Pipelined successors anchor at now.
-        let anchor = if served_in_burst == 0 {
-            conn.dispatched_at()
-        } else {
-            Instant::now()
-        };
-        let request = match read_request_limited(conn.reader_mut(), &limits) {
-            Ok(request) => request,
-            Err(HttpError { status, message }) => {
-                if status == 408 {
-                    shared.metrics.stall_timeouts_closed.inc();
-                }
-                let body = json::obj(vec![
-                    ("error", json::str(message)),
-                    ("kind", json::str("http")),
-                ])
-                .render();
-                // A connection whose byte stream failed to parse is not worth
-                // resynchronising: answer and close.  The worker itself moves
-                // on to the next dispatched connection unharmed.
-                let _ = write_json_response(conn.stream_mut(), status, &body, false);
-                return Disposition::Close;
+            if let Some(reply) = pre_route(request, shared, anchor, &peer_ip) {
+                return reply;
             }
-        };
-        shared.metrics.total_requests.inc();
-        let keep_alive = request.keep_alive && !shared.shutdown.is_triggered();
-        if let Some(fault) = &shared.config.fault {
-            // Injected slow socket: the request stalls before being served,
-            // which is how the chaos suite exercises client-side response
-            // deadlines and server-side queue-inclusive budgets.
-            if let Some(delay) = fault.socket_delay() {
-                std::thread::sleep(delay);
-            }
-        }
-        let reply = pre_route(&request, shared, anchor, &peer_ip).unwrap_or_else(|| {
             // The route handler runs under catch_unwind: a panic anywhere in
             // the pipeline (e.g. a worker panic propagated by the thread
             // pool) must take down one response, not the daemon or its
             // worker.
             let ctx = RequestCtx {
-                deadline: request_deadline(&request, shared, anchor)
+                deadline: request_deadline(request, shared, anchor)
                     .expect("pre_route rejected invalid deadline headers"),
             };
             let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                route(&request, shared, &ctx)
+                route(request, shared, &ctx)
             }));
-            routed.unwrap_or_else(|_| {
-                shared.metrics.worker_panics.inc();
-                Reply::Error(ServeError::internal(
-                    "request handler panicked; session state was reset",
-                ))
-            })
-        });
-        let stream = conn.stream_mut();
-        let io_outcome = match reply {
-            Reply::Json(status, body) => write_json_response(stream, status, &body, keep_alive),
-            Reply::Error(err) => {
-                let retry_secs = err.retry_after_ms.map(|ms| ms.div_ceil(1000).max(1));
-                write_json_response_with(
-                    stream,
-                    err.status,
-                    &err.to_json(shared.metrics.queue_depth.get()),
-                    keep_alive,
-                    retry_secs,
-                )
+            match routed {
+                Ok(Routed::Reply(reply)) => reply,
+                Ok(Routed::Align {
+                    outcome,
+                    cache_hit,
+                    pairwise,
+                }) => Reply::Written(
+                    write_align_response(stream, shared, &outcome, cache_hit, pairwise, keep_alive)
+                        .map(|()| true),
+                ),
+                Err(_) => {
+                    shared.metrics.worker_panics.inc();
+                    Reply::Error(ServeError::internal(
+                        "request handler panicked; session state was reset",
+                    ))
+                }
             }
-            Reply::Align {
-                outcome,
-                cache_hit,
-                pairwise,
-            } => write_align_response(stream, shared, &outcome, cache_hit, pairwise, keep_alive),
-            Reply::Shutdown(body) => {
-                // Deterministic shutdown: the acknowledgement is fully
-                // written and flushed *before* the drain begins — no helper
-                // thread racing the response out of the process.
-                let written = write_json_response(stream, 200, &body, false);
-                shared.shutdown.trigger();
-                let _ = written;
-                conn.note_request();
-                return Disposition::Close;
-            }
-        };
-        conn.note_request();
-        served_in_burst += 1;
-        if let Err(e) = io_outcome {
-            // A write that timed out (rather than failed outright) is a
-            // stalled reader: the kernel send buffer absorbed what it could
-            // and the peer stopped draining it.
-            if is_stall_error(&e) {
-                shared.metrics.stall_timeouts_closed.inc();
-            }
-            return Disposition::Close;
-        }
-        if !keep_alive {
-            return Disposition::Close;
-        }
-        if !conn.has_buffered() {
-            // Burst over: nothing pipelined behind this request, so hand the
-            // socket back to the reactor until it is readable again.
-            return Disposition::KeepAlive;
-        }
-    }
+        },
+    )
 }
 
 /// Request-lifecycle checks that run before routing: deadline-header
@@ -636,7 +472,7 @@ fn write_align_response(
     }
 }
 
-fn route(request: &Request, shared: &Arc<Shared>, ctx: &RequestCtx) -> Reply {
+fn route(request: &Request, shared: &Arc<Shared>, ctx: &RequestCtx) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             // Liveness plus the load snapshot a fleet router needs to prefer
@@ -664,38 +500,21 @@ fn route(request: &Request, shared: &Arc<Shared>, ctx: &RequestCtx) -> Reply {
             if let Some(shard_id) = shared.config.shard_id {
                 fields.push(("shard_id", json::num(shard_id as f64)));
             }
-            Reply::Json(200, json::obj(fields).render())
+            Routed::Reply(Reply::Json(200, json::obj(fields).render()))
         }
-        ("GET", "/stats") => Reply::Json(200, stats_json(shared)),
+        ("GET", "/stats") => Routed::Reply(Reply::Json(200, stats_json(shared))),
         ("POST", "/align") => match handle_align(request, shared, ctx) {
-            Ok(reply) => {
+            Ok(routed) => {
                 shared.requests.lock().unwrap().align_ok += 1;
-                reply
+                routed
             }
             Err(err) => {
                 shared.requests.lock().unwrap().align_err += 1;
-                Reply::Error(err)
+                Routed::Reply(Reply::Error(err))
             }
         },
-        ("POST", "/shutdown") => {
-            Reply::Shutdown(json::obj(vec![("status", json::str("stopping"))]).render())
-        }
-        ("POST", _) | ("GET", _) => Reply::Json(
-            404,
-            json::obj(vec![
-                ("error", json::str(format!("no route {}", request.path))),
-                ("kind", json::str("not_found")),
-            ])
-            .render(),
-        ),
-        (method, _) => Reply::Json(
-            405,
-            json::obj(vec![
-                ("error", json::str(format!("method {method} not allowed"))),
-                ("kind", json::str("method_not_allowed")),
-            ])
-            .render(),
-        ),
+        ("POST", "/shutdown") => Routed::Reply(Reply::Shutdown),
+        (method, path) => Routed::Reply(Reply::Error(ServeError::no_route(method, path))),
     }
 }
 
@@ -928,10 +747,17 @@ fn resolve_path(artifact_root: Option<&Path>, raw: &str) -> Result<PathBuf, Serv
 
 /// Parses a network spec: inline `{"num_nodes", "edges", "attributes"?}` or
 /// `{"stem": "<path>"}` referencing `<stem>.edges` / `<stem>.attrs` files.
+///
+/// `body_len` is the byte length of the request body the spec came from.  An
+/// inline graph cannot usefully declare more nodes than that, and the graph
+/// is allocated at its declared size before a single edge is read — a failed
+/// allocation aborts the process, which no panic boundary contains — so a
+/// larger `num_nodes` is a `400` before anything is allocated.
 fn parse_network(
     artifact_root: Option<&Path>,
     spec: &Json,
     what: &str,
+    body_len: usize,
 ) -> Result<AttributedNetwork, ServeError> {
     if let Some(stem) = spec.get("stem") {
         let stem = stem
@@ -952,6 +778,11 @@ fn parse_network(
         .ok_or_else(|| {
             ServeError::bad_request(format!("{what}.num_nodes must be a non-negative integer"))
         })?;
+    if num_nodes > body_len {
+        return Err(ServeError::bad_request(format!(
+            "{what}.num_nodes {num_nodes} exceeds the request body's {body_len} bytes"
+        )));
+    }
     let edges_json = spec
         .get("edges")
         .and_then(Json::as_arr)
@@ -1015,8 +846,9 @@ fn parse_network(
 /// key-order-insensitive, matching the shard's `graph_fingerprint`).
 ///
 /// `None` means the body is not a routable align request (malformed JSON, no
-/// source, bad graph) — any shard will reject it with the same 400/422, so
-/// the router may send it anywhere.
+/// source, bad graph, a `num_nodes` beyond the body's byte length) — any
+/// shard will reject it with the same 400/422, so the router may send it
+/// anywhere.
 pub fn routing_fingerprint(body: &[u8]) -> Option<u64> {
     let text = std::str::from_utf8(body).ok()?;
     let root = json::parse(text).ok()?;
@@ -1024,7 +856,7 @@ pub fn routing_fingerprint(body: &[u8]) -> Option<u64> {
     if let Some(stem) = source.get("stem") {
         return stem.as_str().map(|s| crate::cache::fnv1a(s.as_bytes()));
     }
-    let network = parse_network(None, source, "source").ok()?;
+    let network = parse_network(None, source, "source", body.len()).ok()?;
     Some(graph_fingerprint(network.graph()))
 }
 
@@ -1069,8 +901,8 @@ fn parse_align_request(shared: &Shared, body: &[u8]) -> Result<AlignRequest, Ser
         .get("target")
         .ok_or_else(|| ServeError::bad_request("request needs a target network"))?;
     let artifact_root = shared.config.artifact_root.as_deref();
-    let source = parse_network(artifact_root, source_spec, "source")?;
-    let target = parse_network(artifact_root, target_spec, "target")?;
+    let source = parse_network(artifact_root, source_spec, "source", body.len())?;
+    let target = parse_network(artifact_root, target_spec, "target", body.len())?;
     let max_nodes = shared.config.max_nodes;
     if max_nodes > 0 {
         let nodes = source.num_nodes().max(target.num_nodes());
@@ -1137,7 +969,7 @@ fn handle_align(
     request: &Request,
     shared: &Arc<Shared>,
     ctx: &RequestCtx,
-) -> Result<Reply, ServeError> {
+) -> Result<Routed, ServeError> {
     if let Some(fault) = &shared.config.fault {
         if fault.should_panic() {
             // Deliberately unwinds through the handler: the chaos suite
@@ -1308,7 +1140,7 @@ fn handle_align(
         .lock()
         .unwrap()
         .merge(outcome.result.timer());
-    Ok(Reply::Align {
+    Ok(Routed::Align {
         outcome,
         cache_hit,
         pairwise,
@@ -1349,9 +1181,9 @@ fn spill_entry_artifacts(shared: &Arc<Shared>, key: &CacheKey, entry: &Arc<Sourc
 
 /// Arms the session with a [`DeadlineObserver`] for this request's budget
 /// (if any).  The observer vetoes the next progress hook once the deadline
-/// passes, which surfaces as [`HtcError::Cancelled`]; the latch it sets is
-/// what lets [`map_deadline`] distinguish a deadline 504 from an external
-/// cancellation 503.
+/// passes, which surfaces as [`htc_core::HtcError::Cancelled`]; the latch it
+/// sets is what lets [`map_deadline`] distinguish a deadline 504 from an
+/// external cancellation 503.
 fn arm_deadline(session: &mut AlignmentSession, ctx: &RequestCtx) -> Option<Arc<DeadlineObserver>> {
     let observer = ctx.deadline.map(|d| Arc::new(DeadlineObserver::new(d)));
     if let Some(obs) = &observer {
@@ -1555,6 +1387,17 @@ mod tests {
         assert_eq!(effective_batch_window(base, 0), base);
         assert_eq!(effective_batch_window(base, 1), base / 2);
         assert_eq!(effective_batch_window(base, 2), Duration::ZERO);
+    }
+
+    /// A source declaring more nodes than its body has bytes is not routable:
+    /// the router forwards it unhashed and the owning shard answers the 400.
+    #[test]
+    fn routing_fingerprint_rejects_num_nodes_beyond_the_body() {
+        let oversized = b"{\"source\":{\"num_nodes\":1000000000000,\"edges\":[]},\
+            \"target\":{\"num_nodes\":2,\"edges\":[[0,1]]}}";
+        assert_eq!(routing_fingerprint(oversized), None);
+        let routable = b"{\"source\":{\"num_nodes\":2,\"edges\":[[0,1]]}}";
+        assert!(routing_fingerprint(routable).is_some());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Integration tests for the connection runtime over real sockets: bounded
 //! worker pool with queueing (not spawning), reactor-parked keep-alive
 //! (idle connections cost no worker and generate no wakeups), `503
-//! Retry-After` load shedding, hostile-input edge cases, chunked response
-//! streaming, the durable `--cache-dir` restart warm start, and
-//! deterministic shutdown with a parked population.
+//! Retry-After` load shedding, chunked response streaming, the durable
+//! `--cache-dir` restart warm start, and deterministic shutdown with a
+//! parked population.  The hostile-input HTTP edge cases run against both
+//! hops, shard and router, in the fleet crate's `router_integration.rs`.
 
 use htc_datasets::{generate_pair, SyntheticPairConfig};
 use htc_graph::AttributedNetwork;
@@ -30,10 +31,6 @@ impl Client {
 
     fn read(&mut self) -> htc_serve::http::ClientResponse {
         self.0.read().expect("read response")
-    }
-
-    fn raw(&mut self) -> &mut TcpStream {
-        self.0.stream_mut()
     }
 
     fn closed(&mut self) -> bool {
@@ -311,93 +308,6 @@ fn shutdown_reaps_parked_population() {
     for client in &mut clients {
         assert!(client.closed(), "drained server closed every parked socket");
     }
-}
-
-/// HTTP edge cases under keep-alive: zero-length bodies, back-to-back
-/// requests, oversized head/body (431/413 then close), a malformed second
-/// request not poisoning the worker, and the idle-timeout disconnect.
-#[test]
-fn http_edge_cases_under_keepalive() {
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        keep_alive: Duration::from_millis(400),
-        ..ServerConfig::default()
-    })
-    .expect("server starts");
-    let addr = server.addr();
-
-    // Content-Length: 0 and back-to-back requests on one socket.
-    let mut client = Client::connect(addr);
-    for _ in 0..3 {
-        let (status, health) = client.request("GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
-    }
-    // Pipelined: two full requests written before either response is read.
-    client.send("GET", "/healthz", "");
-    client.send("GET", "/stats", "");
-    assert_eq!(client.read().status, 200);
-    assert_eq!(client.read().status, 200);
-    drop(client);
-
-    // A malformed second request gets a 400 and the connection closes —
-    // but the worker survives to serve new connections.
-    let mut client = Client::connect(addr);
-    let (status, _) = client.request("GET", "/healthz", "");
-    assert_eq!(status, 200);
-    client
-        .raw()
-        .write_all(b"NOT-A-REQUEST-LINE\r\n\r\n")
-        .unwrap();
-    let response = client.read();
-    assert_eq!(response.status, 400, "{:?}", response.body_str());
-    assert!(client.closed(), "connection closes after a parse error");
-    let mut fresh = Client::connect(addr);
-    let (status, _) = fresh.request("GET", "/healthz", "");
-    assert_eq!(status, 200, "worker was not poisoned");
-    drop(fresh);
-
-    // Oversized head: 431, then close.
-    let mut client = Client::connect(addr);
-    let huge_header = format!(
-        "GET /healthz HTTP/1.1\r\nHost: test\r\nX-Padding: {}\r\n\r\n",
-        "x".repeat(32 * 1024)
-    );
-    client.raw().write_all(huge_header.as_bytes()).unwrap();
-    let response = client.read();
-    assert_eq!(response.status, 431);
-    assert!(client.closed());
-
-    // Oversized declared body: 413, then close.
-    let mut client = Client::connect(addr);
-    client
-        .raw()
-        .write_all(b"POST /align HTTP/1.1\r\nHost: test\r\nContent-Length: 268435456\r\n\r\n")
-        .unwrap();
-    let response = client.read();
-    assert_eq!(response.status, 413);
-    assert!(client.closed());
-
-    // Idle timeout: a connection parked past the keep-alive window is
-    // closed by the server.
-    let mut client = Client::connect(addr);
-    let (status, _) = client.request("GET", "/healthz", "");
-    assert_eq!(status, 200);
-    std::thread::sleep(Duration::from_millis(900));
-    assert!(client.closed(), "idle connection is reclaimed");
-
-    // An explicit Connection: close is honoured.
-    let mut client = Client::connect(addr);
-    client
-        .raw()
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
-        .unwrap();
-    let response = client.read();
-    assert_eq!(response.status, 200);
-    assert_eq!(response.header("connection"), Some("close"));
-    assert!(client.closed());
-
-    server.shutdown();
 }
 
 /// Large anchor sets stream as `Transfer-Encoding: chunked`; the streamed

@@ -341,3 +341,27 @@ fn max_nodes_rejects_oversized_requests_with_structured_413() {
     );
     server.shutdown();
 }
+
+/// The body of a 90-byte request whose declared source size would make the
+/// graph builder allocate terabytes before reading an edge.
+const OVERSIZED_NUM_NODES: &str = "{\"source\":{\"num_nodes\":1000000000000,\"edges\":[]},\
+     \"target\":{\"num_nodes\":2,\"edges\":[[0,1]]}}";
+
+/// A declared `num_nodes` beyond the body's byte length is a structured 400
+/// before anything is allocated — an allocation failure would abort the
+/// whole process, which no panic boundary can contain — and the daemon
+/// keeps serving.
+#[test]
+fn num_nodes_beyond_the_body_is_rejected_before_allocation() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+    let (status, response) = request(addr, "POST", "/align", OVERSIZED_NUM_NODES);
+    assert_eq!(status, 400, "{}", response.render());
+    assert_eq!(
+        response.get("kind").and_then(json::Json::as_str),
+        Some("bad_request")
+    );
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
