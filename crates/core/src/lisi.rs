@@ -59,8 +59,9 @@ pub fn lisi_matrix(source: &DenseMatrix, target: &DenseMatrix, m: usize) -> Dens
 /// Computes LISI given an already-materialised correlation matrix.  The
 /// scale-by-2 and hubness-subtraction passes are fused into a single
 /// traversal of the correlation matrix; the per-row sweep is the
-/// ISA-dispatched `lisi_combine` kernel from `htc_linalg::kernels` (explicit
-/// SIMD where supported, bit-identical to the scalar loop on every ISA).
+/// ISA-dispatched `lisi_combine_argmax` kernel from `htc_linalg::kernels`
+/// (explicit SIMD where supported, bit-identical to the scalar loop on every
+/// ISA) — the blocked sweep's kernel, its arg-max index unused here.
 pub fn lisi_from_correlation(corr: &DenseMatrix, m: usize) -> DenseMatrix {
     let m = m.max(1);
     // D_t(h_s): mean similarity of each source node to its m nearest targets.
@@ -68,7 +69,7 @@ pub fn lisi_from_correlation(corr: &DenseMatrix, m: usize) -> DenseMatrix {
     // D_s(h_t): mean similarity of each target node to its m nearest sources.
     let hub_target = col_top_k_means(corr, m);
     let mut out = DenseMatrix::zeros(corr.rows(), corr.cols());
-    let combine = htc_linalg::kernels::active().lisi_combine;
+    let combine = htc_linalg::kernels::active().lisi_combine_argmax;
     for (r, &penalty_r) in hub_source.iter().enumerate() {
         combine(corr.row(r), &hub_target, penalty_r, out.row_mut(r));
     }
@@ -228,8 +229,8 @@ pub fn default_block_rows(target_nodes: usize) -> usize {
 /// match exactly.  This holds because each correlation block is the same
 /// GEMM (identical per-element accumulation order) on the same normalised
 /// rows, the per-column hubness statistic replays the dense `top_k_mean`
-/// insertion sequence via [`top_k_push`], and the per-row combine uses the
-/// same ISA-dispatched `lisi_combine` kernel.
+/// insertion sequence via [`top_k_push`], and the per-row combine is the
+/// very kernel dense scoring calls, the ISA-dispatched `lisi_combine_argmax`.
 ///
 /// Two passes over the correlation blocks are required — the hubness terms
 /// need global column statistics before any LISI value can be finalised.

@@ -19,9 +19,12 @@
 //! been relayed the router is committed; an upstream failure mid-body
 //! closes the client connection (a torn response must not look complete).
 //!
-//! `/stats` aggregates every live shard's stats (summed totals + per-shard
-//! raw snapshots + the router's own counters); `/fleet/healthz` reports the
-//! shard table.  `X-HTC-Deadline-Ms` and `X-HTC-Client` are forwarded
+//! `/stats` aggregates every live shard's stats — `totals` sums every
+//! additive figure the shard's own table ([`htc_serve::server::STATS`])
+//! marks [`Merge::Sum`], so this module names no shard figure — next to the
+//! per-shard raw snapshots and the router's own counters (including its
+//! worker panics and stall teardowns); `/fleet/healthz` reports the shard
+//! table.  `X-HTC-Deadline-Ms` and `X-HTC-Client` are forwarded
 //! upstream; `Retry-After` and chunked/streamed bodies come back through
 //! [`relay_response`] untouched.
 
@@ -37,6 +40,7 @@ use htc_serve::runtime::{
     default_workers, serve_burst, Conn, ConnHandler, ConnectionRuntime, Disposition, Reply,
     RuntimeConfig, RuntimeMetrics, ShutdownSignal,
 };
+use htc_serve::server::{group_figures, Figure, Merge, STATS};
 use htc_serve::{routing_fingerprint, ServeError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -53,14 +57,15 @@ pub struct RouterConfig {
     pub queue_capacity: usize,
     /// Idle keep-alive timeout for client connections.
     pub keep_alive: Duration,
-    /// TCP connect budget per upstream attempt — how fast "shard is dead"
-    /// is discovered on the request path.
-    pub connect_timeout: Duration,
-    /// Budget for one upstream response (head + body relay).
-    pub proxy_deadline: Duration,
-    /// Idle upstream connections kept per shard.
-    pub max_idle_per_shard: usize,
 }
+
+/// TCP connect budget per upstream attempt — how fast "shard is dead" is
+/// discovered on the request path.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Budget for one upstream response (head + body relay).
+const PROXY_DEADLINE: Duration = Duration::from_secs(60);
+/// Idle upstream connections kept per shard.
+const MAX_IDLE_PER_SHARD: usize = 8;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -69,9 +74,6 @@ impl Default for RouterConfig {
             workers: 0,
             queue_capacity: 128,
             keep_alive: Duration::from_secs(15),
-            connect_timeout: Duration::from_millis(250),
-            proxy_deadline: Duration::from_secs(60),
-            max_idle_per_shard: 8,
         }
     }
 }
@@ -92,7 +94,6 @@ pub struct RouterMetrics {
 }
 
 struct RouterShared {
-    config: RouterConfig,
     shards: Arc<ShardSet>,
     pool: UpstreamPool,
     metrics: Arc<RouterMetrics>,
@@ -125,7 +126,7 @@ impl Router {
             idle_timeout: config.keep_alive,
             ..RuntimeConfig::default()
         };
-        let pool = UpstreamPool::new(shards.len(), config.max_idle_per_shard);
+        let pool = UpstreamPool::new(shards.len(), MAX_IDLE_PER_SHARD);
         let shared = Arc::new(RouterShared {
             pool,
             shards,
@@ -133,7 +134,6 @@ impl Router {
             runtime_metrics: Arc::clone(&runtime_metrics),
             shutdown: Arc::clone(&shutdown),
             started: Instant::now(),
-            config,
         });
         let handler_shared = Arc::clone(&shared);
         let handler: ConnHandler = Arc::new(move |conn| handle_connection(conn, &handler_shared));
@@ -254,7 +254,7 @@ fn proxy_align(
         // shard (new addr + generation) since the pre-sort snapshot.
         let state = shared.shards.snapshot(shard);
         let Some(addr) = state.addr else { continue };
-        let deadline = Instant::now() + shared.config.proxy_deadline;
+        let deadline = Instant::now() + PROXY_DEADLINE;
         match attempt_proxy(
             shard,
             addr,
@@ -361,7 +361,7 @@ fn attempt_proxy(
     for source in sources {
         let mut client = match pooled.take() {
             Some(client) => client,
-            None => match Client::connect_timeout(addr, shared.config.connect_timeout) {
+            None => match Client::connect_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(client) => client,
                 Err(e) => return Attempt::UpstreamFailed(format!("connect {addr}: {e}")),
             },
@@ -446,39 +446,16 @@ fn fleet_healthz(shared: &Arc<RouterShared>) -> String {
     .render()
 }
 
-/// The per-shard counters summed into the fleet-wide `totals` block; every
-/// path is a `(group, field)` of the shard `/stats` schema.
-const SUMMED_STATS: &[(&str, &str)] = &[
-    ("requests", "total"),
-    ("requests", "align_ok"),
-    ("requests", "align_err"),
-    ("runtime", "total_connections"),
-    ("runtime", "total_requests"),
-    ("runtime", "shed_connections"),
-    ("runtime", "worker_panics"),
-    ("runtime", "parked"),
-    ("runtime", "reactor_wakeups"),
-    ("runtime", "stall_timeouts_closed"),
-    ("runtime", "peer_cap_rejections"),
-    ("cache", "hits"),
-    ("cache", "misses"),
-    ("cache", "evictions"),
-    ("cache", "spills"),
-    ("cache", "reloads"),
-    ("cache", "reload_errors"),
-    ("batching", "batches"),
-    ("batching", "batched_requests"),
-    ("robustness", "deadline_expired"),
-    ("robustness", "rate_limited"),
-    ("robustness", "degraded_responses"),
-];
-
-/// `GET /stats`: fetches every live shard's `/stats`, sums the curated
-/// counters into `totals`, embeds each shard's raw snapshot, and adds the
-/// router's own counters.
+/// `GET /stats`: fetches every live shard's `/stats`, sums each
+/// [`Merge::Sum`] figure of the shard's own table ([`STATS`]) into `totals`,
+/// embeds each shard's raw snapshot, and adds the router's own counters.
 fn fleet_stats(shared: &Arc<RouterShared>) -> String {
     let states = shared.shards.snapshot_all();
-    let mut sums = vec![0.0f64; SUMMED_STATS.len()];
+    let mut sums: Vec<(&Figure, f64)> = STATS
+        .iter()
+        .filter(|f| f.merge == Merge::Sum)
+        .map(|f| (f, 0.0))
+        .collect();
     let mut members: Vec<Json> = Vec::with_capacity(states.len());
     for (i, state) in states.iter().enumerate() {
         let mut fields = vec![
@@ -491,14 +468,15 @@ fn fleet_stats(shared: &Arc<RouterShared>) -> String {
             .addr
             .filter(|_| state.healthy)
             .ok_or_else(|| "shard down".to_string())
-            .and_then(|addr| fetch_shard_stats(addr, shared.config.connect_timeout));
+            .and_then(fetch_shard_stats);
         match fetched {
             Ok(text) => {
                 if let Ok(parsed) = json::parse(&text) {
-                    for (slot, (group, field)) in SUMMED_STATS.iter().enumerate() {
-                        sums[slot] += parsed
-                            .get(group)
-                            .and_then(|g| g.get(field))
+                    for (figure, sum) in &mut sums {
+                        *sum += [figure.group, figure.field]
+                            .into_iter()
+                            .filter(|key| !key.is_empty())
+                            .try_fold(&parsed, |json, key| json.get(key))
                             .and_then(Json::as_f64)
                             .unwrap_or(0.0);
                     }
@@ -509,16 +487,7 @@ fn fleet_stats(shared: &Arc<RouterShared>) -> String {
         }
         members.push(json::obj(fields));
     }
-    // Rebuild the nested {group: {field: sum}} shape from the flat sums.
-    let mut totals: Vec<(&str, Json)> = Vec::new();
-    for (slot, (group, field)) in SUMMED_STATS.iter().enumerate() {
-        if totals.last().map(|(g, _)| *g) != Some(*group) {
-            totals.push((group, json::obj(Vec::new())));
-        }
-        if let Some((_, Json::Obj(fields))) = totals.last_mut() {
-            fields.push((field.to_string(), json::num(sums[slot])));
-        }
-    }
+    let totals = group_figures(sums.into_iter().map(|(f, sum)| (f, json::num(sum))));
     let metrics = &shared.metrics;
     let runtime = &shared.runtime_metrics;
     json::obj(vec![
@@ -561,6 +530,14 @@ fn fleet_stats(shared: &Arc<RouterShared>) -> String {
                     "active_connections",
                     json::num(runtime.active_connections.get() as f64),
                 ),
+                (
+                    "worker_panics",
+                    json::num(runtime.worker_panics.get() as f64),
+                ),
+                (
+                    "stall_timeouts_closed",
+                    json::num(runtime.stall_timeouts_closed.get() as f64),
+                ),
             ]),
         ),
         ("totals", json::obj(totals)),
@@ -571,8 +548,8 @@ fn fleet_stats(shared: &Arc<RouterShared>) -> String {
 
 /// One `GET /stats` against a shard on a throwaway connection (stats are
 /// rare; pooled sockets stay reserved for the align path).
-fn fetch_shard_stats(addr: SocketAddr, connect_timeout: Duration) -> Result<String, String> {
-    let mut client = Client::connect_timeout(addr, connect_timeout).map_err(|e| e.to_string())?;
+fn fetch_shard_stats(addr: SocketAddr) -> Result<String, String> {
+    let mut client = Client::connect_timeout(addr, CONNECT_TIMEOUT).map_err(|e| e.to_string())?;
     client.set_response_deadline(Duration::from_secs(5));
     client
         .send_with("GET", "/stats", "", true)

@@ -43,10 +43,11 @@ pub struct SupervisorConfig {
     pub shard_args: Vec<String>,
     /// Pause between crash checks / health probes per shard.
     pub health_interval: Duration,
-    /// Initial restart backoff after a crash; doubles per consecutive crash
-    /// up to 3 s, resets after 5 s of uptime.
-    pub restart_backoff: Duration,
 }
+
+/// Initial restart backoff after a crash; doubles per consecutive crash up to
+/// 3 s, resets after 5 s of uptime.
+const RESTART_BACKOFF: Duration = Duration::from_millis(100);
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
@@ -56,7 +57,6 @@ impl Default for SupervisorConfig {
             cache_dir: std::env::temp_dir().join("htc-fleet-cache"),
             shard_args: Vec::new(),
             health_interval: Duration::from_millis(200),
-            restart_backoff: Duration::from_millis(100),
         }
     }
 }
@@ -145,7 +145,7 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) -> bool {
 
 fn monitor_shard(shard: usize, config: &SupervisorConfig, shards: &ShardSet, stop: &AtomicBool) {
     let max_backoff = Duration::from_secs(3);
-    let mut backoff = config.restart_backoff.max(Duration::from_millis(10));
+    let mut backoff = RESTART_BACKOFF;
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -194,7 +194,7 @@ fn monitor_shard(shard: usize, config: &SupervisorConfig, shards: &ShardSet, sto
             }
         }
         if up_since.elapsed() >= Duration::from_secs(5) {
-            backoff = config.restart_backoff.max(Duration::from_millis(10));
+            backoff = RESTART_BACKOFF;
         }
         if sleep_interruptible(stop, backoff) {
             return;

@@ -12,6 +12,7 @@ use htc_datasets::{generate_pair, SyntheticPairConfig};
 use htc_fleet::{owner, Router, RouterConfig, ShardSet};
 use htc_serve::http::Client;
 use htc_serve::json::{self, network_spec, Json};
+use htc_serve::server::{Merge, STATS};
 use htc_serve::{routing_fingerprint, Server, ServerConfig};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -45,6 +46,29 @@ fn shard_set(servers: &[&Server]) -> Arc<ShardSet> {
         set.incarnate(i, server.addr(), None);
     }
     set
+}
+
+/// The number at `path` inside a `/stats` object.
+fn stats_value(stats: &Json, path: &[&str]) -> Option<f64> {
+    path.iter()
+        .try_fold(stats, |v, k| v.get(k))
+        .and_then(Json::as_f64)
+}
+
+/// The `group.field` (or top-level `field`) paths of a `/stats`-shaped
+/// object, in order.
+fn key_paths(stats: &Json) -> Vec<String> {
+    let Json::Obj(members) = stats else {
+        panic!("not an object: {}", stats.render())
+    };
+    let mut paths = Vec::new();
+    for (key, value) in members {
+        match value {
+            Json::Obj(fields) => paths.extend(fields.iter().map(|(f, _)| format!("{key}.{f}"))),
+            _ => paths.push(key.clone()),
+        }
+    }
+    paths
 }
 
 fn align_body(seed: u64) -> String {
@@ -211,39 +235,48 @@ fn stats_aggregation_sums_match_per_shard_values() {
 
     // Per-shard truth, fetched directly from each shard.
     let mut direct_align_ok = 0.0;
-    let mut direct_hits = 0.0;
     for shard in &refs {
         let mut direct = Client::connect(shard.addr()).unwrap();
         let stats = direct.request("GET", "/stats", "").unwrap();
         let stats = json::parse(stats.body_str()).unwrap();
-        let num = |path: &[&str]| {
-            path.iter()
-                .try_fold(&stats, |v, k| v.get(k))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-        };
-        direct_align_ok += num(&["requests", "align_ok"]);
-        direct_hits += num(&["cache", "hits"]);
+        direct_align_ok += stats_value(&stats, &["requests", "align_ok"]).unwrap();
     }
     assert_eq!(direct_align_ok, 4.0, "four aligns served fleet-wide");
 
     let aggregated = client.request("GET", "/stats", "").unwrap();
     let aggregated = json::parse(aggregated.body_str()).unwrap();
-    let total = |path: &[&str]| {
-        path.iter()
-            .try_fold(&aggregated, |v, k| v.get(k))
-            .and_then(Json::as_f64)
-            .unwrap_or(-1.0)
-    };
+    let total = |path: &[&str]| stats_value(&aggregated, path).unwrap_or(-1.0);
     assert_eq!(total(&["totals", "requests", "align_ok"]), direct_align_ok);
-    assert_eq!(total(&["totals", "cache", "hits"]), direct_hits);
     assert_eq!(total(&["fleet", "shards"]), 2.0);
     assert_eq!(total(&["fleet", "healthy"]), 2.0);
     assert_eq!(total(&["router", "proxied_ok"]), 4.0);
     assert_eq!(total(&["router", "bad_gateway"]), 0.0);
+    // The router's own runtime reports its worker panics and stall
+    // teardowns next to the proxy counters.
+    assert_eq!(total(&["router", "worker_panics"]), 0.0);
+    assert!(stats_value(&aggregated, &["router", "stall_timeouts_closed"]).is_some());
     // The per-shard raw snapshots ride along for drill-down.
     let members = aggregated.get("shards").and_then(Json::as_arr).unwrap();
     assert_eq!(members.len(), 2);
+
+    // `totals` holds every additive figure of the shard table and nothing
+    // else, each the sum of the shard snapshots the router scraped (the
+    // shards' own `/stats` answers, embedded verbatim above).
+    let totals = aggregated.get("totals").unwrap();
+    let mut summed = Vec::new();
+    for figure in STATS.iter().filter(|f| f.merge == Merge::Sum) {
+        let path: Vec<&str> = [figure.group, figure.field]
+            .into_iter()
+            .filter(|key| !key.is_empty())
+            .collect();
+        let direct: f64 = members
+            .iter()
+            .map(|m| stats_value(m.get("stats").unwrap(), &path).unwrap())
+            .sum();
+        assert_eq!(stats_value(totals, &path), Some(direct), "{path:?}");
+        summed.push(path.join("."));
+    }
+    assert_eq!(key_paths(totals), summed);
 
     router.shutdown();
     for shard in shards {

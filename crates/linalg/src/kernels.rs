@@ -1,9 +1,9 @@
 //! Explicit SIMD micro-kernels with runtime ISA dispatch.
 //!
 //! The blocked GEMM driver in [`crate::gemm`] and the fused element-wise
-//! kernels (AXPY, ReLU backprop, the LISI combine sweep) all bottom out in
-//! the function pointers collected in a [`KernelSet`].  At startup the best
-//! instruction set the host supports is detected once
+//! kernels (AXPY, ReLU backprop, the LISI combine + arg-max sweep) all
+//! bottom out in the function pointers collected in a [`KernelSet`].  At
+//! startup the best instruction set the host supports is detected once
 //! (`is_x86_feature_detected!` / `is_aarch64_feature_detected!`) and cached;
 //! every hot-path call reads the cached table through [`active`].
 //!
@@ -22,8 +22,8 @@
 //! positions for a *fixed* ISA.  Across ISAs there are two regimes:
 //!
 //! * the element-wise and streaming-selection kernels (AXPY, ReLU backprop,
-//!   LISI combine, LISI combine+argmax, the threshold scans) perform exactly
-//!   the scalar kernel's operation sequence with separate multiply and add
+//!   LISI combine+argmax, the threshold scans) perform exactly the scalar
+//!   kernel's operation sequence with separate multiply and add
 //!   instructions — and identical compare predicates / tie-breaks for the
 //!   selection kernels — so they are **bit-identical to scalar** on every
 //!   host;
@@ -140,14 +140,11 @@ pub type AxpyFn = fn(alpha: f64, x: &[f64], y: &mut [f64]);
 /// Fused ReLU backprop: `dz[i] = if z[i] > 0 { g[i] } else { 0 }`.
 pub type ReluBackpropFn = fn(z: &[f64], g: &[f64], dz: &mut [f64]);
 
-/// Fused LISI combine sweep: `out[j] = 2·corr[j] − (penalty + hub[j])`,
-/// with `penalty + hub[j]` rounded first — the scalar operation order.
-pub type LisiCombineFn = fn(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]);
-
-/// Fused LISI combine + row arg-max: writes the combine sweep into `out` and
+/// Fused LISI combine + row arg-max: writes `out[j] = 2·corr[j] − (penalty +
+/// hub[j])` (the inner sum rounded first — the scalar operation order) and
 /// returns the index of the row maximum (strict `>`, ties towards the lower
-/// index — the `ops::argmax` convention).  Returns 0 for an empty row.
-/// Bit-identical to running [`LisiCombineFn`] followed by a scalar arg-max.
+/// index — the `ops::argmax` convention).  Returns 0 for an empty row.  The
+/// one LISI combine kernel: dense scoring ignores the index.
 pub type LisiCombineArgmaxFn =
     fn(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) -> usize;
 
@@ -186,9 +183,8 @@ pub struct KernelSet {
     pub axpy: AxpyFn,
     /// The fused ReLU-backprop kernel.
     pub relu_backprop: ReluBackpropFn,
-    /// The fused LISI-combine kernel.
-    pub lisi_combine: LisiCombineFn,
-    /// The fused LISI-combine + arg-max kernel (blocked sweep, pass 2).
+    /// The fused LISI-combine + arg-max kernel (dense LISI scoring and the
+    /// blocked sweep's pass 2).
     pub lisi_combine_argmax: LisiCombineArgmaxFn,
     /// Per-element strict-`>` threshold scan (blocked sweep selection gates).
     pub scan_gt: ScanGtFn,
@@ -366,14 +362,6 @@ fn scalar_relu_backprop(z: &[f64], g: &[f64], dz: &mut [f64]) {
     }
 }
 
-/// Scalar LISI combine: `out[j] = 2·corr[j] − (penalty + hub[j])`.
-fn scalar_lisi_combine(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-    assert!(corr.len() == hub.len() && hub.len() == out.len());
-    for ((o, &c), &h) in out.iter_mut().zip(corr).zip(hub) {
-        *o = 2.0 * c - (penalty + h);
-    }
-}
-
 /// Scalar LISI combine + arg-max: the reference operation sequence — combine
 /// each element (scalar order), track the running maximum with strict `>` in
 /// ascending index order (lower index wins ties).
@@ -431,7 +419,6 @@ static SCALAR_KERNELS: KernelSet = KernelSet {
     gemm: scalar_gemm,
     axpy: scalar_axpy,
     relu_backprop: scalar_relu_backprop,
-    lisi_combine: scalar_lisi_combine,
     lisi_combine_argmax: scalar_lisi_combine_argmax,
     scan_gt: scalar_scan_gt,
     scan_above: scalar_scan_above,
@@ -454,7 +441,6 @@ mod x86 {
         gemm: avx512_gemm,
         axpy: avx512_axpy,
         relu_backprop: avx512_relu_backprop,
-        lisi_combine: avx512_lisi_combine,
         lisi_combine_argmax: avx512_lisi_combine_argmax,
         scan_gt: avx512_scan_gt,
         scan_above: avx512_scan_above,
@@ -468,7 +454,6 @@ mod x86 {
         gemm: avx2_gemm,
         axpy: avx2_axpy,
         relu_backprop: avx2_relu_backprop,
-        lisi_combine: avx2_lisi_combine,
         lisi_combine_argmax: avx2_lisi_combine_argmax,
         scan_gt: avx2_scan_gt,
         scan_above: avx2_scan_above,
@@ -586,40 +571,6 @@ mod x86 {
         }
         for ((d, &zv), &gv) in dz[lanes..].iter_mut().zip(&z[lanes..]).zip(&g[lanes..]) {
             *d = if zv > 0.0 { gv } else { 0.0 };
-        }
-    }
-
-    fn avx512_lisi_combine(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        assert!(corr.len() == hub.len() && hub.len() == out.len());
-        // SAFETY: avx512f was detected at dispatch time.
-        unsafe { avx512_lisi_combine_inner(corr, hub, penalty, out) }
-    }
-
-    /// `out = 2·corr − (penalty + hub)` with the inner sum rounded first —
-    /// the exact scalar operation order (and ×2 is exact), so bit-identical.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_lisi_combine_inner(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        let n = corr.len();
-        let lanes = n - n % 8;
-        // SAFETY: all three slices have length n; the loop stays below lanes.
-        unsafe {
-            let two = _mm512_set1_pd(2.0);
-            let pen = _mm512_set1_pd(penalty);
-            let mut i = 0;
-            while i < lanes {
-                let cv = _mm512_loadu_pd(corr.as_ptr().add(i));
-                let hv = _mm512_loadu_pd(hub.as_ptr().add(i));
-                let v = _mm512_sub_pd(_mm512_mul_pd(two, cv), _mm512_add_pd(pen, hv));
-                _mm512_storeu_pd(out.as_mut_ptr().add(i), v);
-                i += 8;
-            }
-        }
-        for ((o, &c), &h) in out[lanes..]
-            .iter_mut()
-            .zip(&corr[lanes..])
-            .zip(&hub[lanes..])
-        {
-            *o = 2.0 * c - (penalty + h);
         }
     }
 
@@ -909,39 +860,6 @@ mod x86 {
         }
     }
 
-    fn avx2_lisi_combine(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        assert!(corr.len() == hub.len() && hub.len() == out.len());
-        // SAFETY: avx2+fma were detected at dispatch time.
-        unsafe { avx2_lisi_combine_inner(corr, hub, penalty, out) }
-    }
-
-    /// See [`avx512_lisi_combine_inner`]: scalar operation order, bit-identical.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn avx2_lisi_combine_inner(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        let n = corr.len();
-        let lanes = n - n % 4;
-        // SAFETY: all three slices have length n; the loop stays below lanes.
-        unsafe {
-            let two = _mm256_set1_pd(2.0);
-            let pen = _mm256_set1_pd(penalty);
-            let mut i = 0;
-            while i < lanes {
-                let cv = _mm256_loadu_pd(corr.as_ptr().add(i));
-                let hv = _mm256_loadu_pd(hub.as_ptr().add(i));
-                let v = _mm256_sub_pd(_mm256_mul_pd(two, cv), _mm256_add_pd(pen, hv));
-                _mm256_storeu_pd(out.as_mut_ptr().add(i), v);
-                i += 4;
-            }
-        }
-        for ((o, &c), &h) in out[lanes..]
-            .iter_mut()
-            .zip(&corr[lanes..])
-            .zip(&hub[lanes..])
-        {
-            *o = 2.0 * c - (penalty + h);
-        }
-    }
-
     fn avx2_lisi_combine_argmax(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) -> usize {
         assert!(corr.len() == hub.len() && hub.len() == out.len());
         // SAFETY: avx2+fma were detected at dispatch time.
@@ -1109,7 +1027,6 @@ mod aarch64 {
         gemm: neon_gemm,
         axpy: neon_axpy,
         relu_backprop: neon_relu_backprop,
-        lisi_combine: neon_lisi_combine,
         lisi_combine_argmax: neon_lisi_combine_argmax,
         scan_gt: neon_scan_gt,
         scan_above: neon_scan_above,
@@ -1206,39 +1123,6 @@ mod aarch64 {
         }
         for ((d, &zv), &gv) in dz[lanes..].iter_mut().zip(&z[lanes..]).zip(&g[lanes..]) {
             *d = if zv > 0.0 { gv } else { 0.0 };
-        }
-    }
-
-    fn neon_lisi_combine(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        assert!(corr.len() == hub.len() && hub.len() == out.len());
-        // SAFETY: neon was detected at dispatch time.
-        unsafe { neon_lisi_combine_inner(corr, hub, penalty, out) }
-    }
-
-    /// Scalar operation order (`2·c − (p + h)`, inner sum first): bit-identical.
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_lisi_combine_inner(corr: &[f64], hub: &[f64], penalty: f64, out: &mut [f64]) {
-        let n = corr.len();
-        let lanes = n - n % 2;
-        // SAFETY: all three slices have length n; the loop stays below lanes.
-        unsafe {
-            let two = vdupq_n_f64(2.0);
-            let pen = vdupq_n_f64(penalty);
-            let mut i = 0;
-            while i < lanes {
-                let cv = vld1q_f64(corr.as_ptr().add(i));
-                let hv = vld1q_f64(hub.as_ptr().add(i));
-                let v = vsubq_f64(vmulq_f64(two, cv), vaddq_f64(pen, hv));
-                vst1q_f64(out.as_mut_ptr().add(i), v);
-                i += 2;
-            }
-        }
-        for ((o, &c), &h) in out[lanes..]
-            .iter_mut()
-            .zip(&corr[lanes..])
-            .zip(&hub[lanes..])
-        {
-            *o = 2.0 * c - (penalty + h);
         }
     }
 
@@ -1490,7 +1374,6 @@ mod tests {
                 let x = pseudo(3, n);
                 let z = pseudo(4, n);
                 let g = pseudo(5, n);
-                let hub = pseudo(6, n);
 
                 let mut y_simd = pseudo(7, n);
                 let mut y_ref = y_simd.clone();
@@ -1503,12 +1386,6 @@ mod tests {
                 (ks.relu_backprop)(&z, &g, &mut dz_simd);
                 scalar_relu_backprop(&z, &g, &mut dz_ref);
                 assert_eq!(dz_simd, dz_ref, "{isa:?} relu_backprop n={n}");
-
-                let mut out_simd = vec![0.0; n];
-                let mut out_ref = vec![0.0; n];
-                (ks.lisi_combine)(&x, &hub, -0.625, &mut out_simd);
-                scalar_lisi_combine(&x, &hub, -0.625, &mut out_ref);
-                assert_eq!(out_simd, out_ref, "{isa:?} lisi_combine n={n}");
             }
         }
     }

@@ -36,9 +36,6 @@ pub struct FairnessConfig {
     /// Distinct client identities tracked before the least-recent bucket is
     /// evicted (a flood of spoofed identities must not grow memory).
     pub max_tracked_peers: usize,
-    /// The fraction of the worker pool one source fingerprint may occupy
-    /// while the server is under queue pressure.  `0.0` disables the gate.
-    pub source_share: f64,
 }
 
 impl Default for FairnessConfig {
@@ -47,7 +44,6 @@ impl Default for FairnessConfig {
             peer_tokens_per_sec: 0.0,
             peer_burst: 8.0,
             max_tracked_peers: 1024,
-            source_share: 0.75,
         }
     }
 }

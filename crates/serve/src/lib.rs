@@ -41,7 +41,8 @@
 //!   counters, batching figures, connection-runtime gauges (active
 //!   connections, queue depth, parked connections, reactor wakeups, stall
 //!   teardowns, peer-cap rejections, keep-alive reuse ratio) and per-stage
-//!   [`StageTimer`](htc_metrics::StageTimer) aggregates.
+//!   [`StageTimer`](htc_metrics::StageTimer) aggregates, rendered from one
+//!   table of figures, [`server::STATS`].
 //! * `POST /shutdown` — clean stop: the acknowledgement flushes, then the
 //!   worker pool drains and joins deterministically.
 //!

@@ -32,9 +32,12 @@
 //!    and forgotten on disk so the daemon keeps serving.
 //!
 //! Every response is JSON; `/healthz` and `/stats` expose liveness, the
-//! cache / stage-timer counters and the runtime occupancy gauges.
+//! cache / stage-timer counters and the runtime occupancy gauges.  Every
+//! `/stats` figure is one row of [`STATS`] — its group, field, fleet merge
+//! rule and reader — so the shard renders the table and the fleet router
+//! sums its [`Merge::Sum`] rows without knowing the schema.
 
-use crate::cache::{attribute_fingerprint, ArtifactCache, CacheKey, DurableStore};
+use crate::cache::{attribute_fingerprint, ArtifactCache, CacheKey, CacheStats, DurableStore};
 use crate::fair::{FairnessConfig, PeerLimiter, SourceGate};
 use crate::fault::FaultPlan;
 use crate::http::{begin_chunked_json, write_json_response, ReadLimits, Request, ServeError};
@@ -50,7 +53,7 @@ use htc_core::{
 use htc_graph::io::read_network;
 use htc_graph::{AttributedNetwork, Graph};
 use htc_linalg::DenseMatrix;
-use htc_metrics::StageTimer;
+use htc_metrics::{Counter, StageTimer};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,7 +70,8 @@ pub struct ServerConfig {
     /// How long a batch leader waits for concurrent same-source requests
     /// before driving the batch.  Zero serves every request individually.
     pub batch_window: Duration,
-    /// Preset used when a request does not name one.
+    /// Preset used when a request does not name one; [`Server::start`]
+    /// rejects a name other than `fast`, `small`, `paper` or `large`.
     pub default_preset: String,
     /// When set, every filesystem path in a request (`stem`, `views_path`,
     /// `encoder_path`) must be relative, free of `..`, and resolves under
@@ -187,7 +191,7 @@ struct BatchOutcome {
 /// Aggregate align/batch counters for `/stats` (the total request count
 /// lives in [`RuntimeMetrics::total_requests`], incremented at the protocol
 /// layer).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct RequestStats {
     align_ok: u64,
     align_err: u64,
@@ -198,6 +202,9 @@ struct RequestStats {
 
 struct Shared {
     config: ServerConfig,
+    /// The resolved `config.default_preset`, for preset-less requests and the
+    /// `/stats` pipeline figures.
+    default_config: HtcConfig,
     cache: Mutex<ArtifactCache<SourceEntry>>,
     /// The `--cache-dir` spill layer (None: in-memory only).
     durable: Option<DurableStore>,
@@ -231,8 +238,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts serving; returns once the listener is live.
+    /// Binds and starts serving; returns once the listener is live.  An
+    /// unknown `default_preset` is an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error.
     pub fn start(mut config: ServerConfig) -> std::io::Result<Server> {
+        let default_config = preset_config(&config.default_preset)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.message))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         if config.workers == 0 {
@@ -265,6 +276,7 @@ impl Server {
             gate: Arc::new(SourceGate::new()),
             started: Instant::now(),
             shutdown: Arc::clone(&shutdown),
+            default_config,
             config,
         });
         let handler_shared = Arc::clone(&shared);
@@ -518,183 +530,265 @@ fn route(request: &Request, shared: &Arc<Shared>, ctx: &RequestCtx) -> Routed {
     }
 }
 
-/// Renders `/stats`: request counters, cache counters + hit rate (including
-/// the durable spill layer), batching figures, the connection-runtime
-/// gauges, and two stage-timer views — the shared source-side stages of
-/// every cached session, and the accumulated per-request (target-side)
-/// stages.
-fn stats_json(shared: &Arc<Shared>) -> String {
-    let cache = shared.cache.lock().unwrap();
-    let cache_stats = cache.stats();
-    let mut shared_stages = StageTimer::new();
-    let mut busy_sessions = 0usize;
-    for entry in cache.values() {
-        // try_lock: a session mid-alignment should not stall /stats.
-        match entry.session.try_lock() {
-            Ok(session) => shared_stages.merge(session.timer()),
-            Err(_) => busy_sessions += 1,
+/// How the fleet router merges one `/stats` figure across its shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// An additive counter: the router's `totals` carries its fleet-wide sum.
+    Sum,
+    /// A gauge, ratio, setting or timer that means something per shard only;
+    /// it is read from that shard's own snapshot.
+    PerShard,
+}
+
+use Merge::{PerShard, Sum};
+
+/// One `/stats` figure: where it renders — member `field` of the `group`
+/// object, or a top-level member when `group` is `""` — how the fleet router
+/// merges it, and how it is read off one scrape's snapshot.
+pub struct Figure {
+    pub group: &'static str,
+    pub field: &'static str,
+    pub merge: Merge,
+    read: fn(&StatsView<'_>) -> Json,
+}
+
+const fn figure(
+    group: &'static str,
+    field: &'static str,
+    merge: Merge,
+    read: fn(&StatsView<'_>) -> Json,
+) -> Figure {
+    Figure {
+        group,
+        field,
+        merge,
+        read,
+    }
+}
+
+/// A counter, gauge or size as a JSON number.
+fn int(n: u64) -> Json {
+    json::num(n as f64)
+}
+
+/// Every figure a shard's `/stats` renders, in render order: request and
+/// runtime counters, the cache (including the durable spill layer), batching,
+/// the robustness ladder, the serving tier, and two stage-timer views — the
+/// shared source-side stages of every cached session, and the accumulated
+/// per-request (target-side) stages.  The fleet router sums the [`Merge::Sum`]
+/// rows into its `totals`, so a new figure is one storage field plus one row
+/// here.
+pub const STATS: &[Figure] = &[
+    figure("", "uptime_seconds", PerShard, |v| {
+        json::num(v.shared.started.elapsed().as_secs_f64())
+    }),
+    figure("requests", "total", Sum, |v| {
+        int(v.metrics.total_requests.get())
+    }),
+    figure("requests", "align_ok", Sum, |v| int(v.requests.align_ok)),
+    figure("requests", "align_err", Sum, |v| int(v.requests.align_err)),
+    // The kernel ISA the dispatcher selected (or was forced to via
+    // HTC_FORCE_ISA) — the decision `linalg::active_isa()` reports.
+    figure("runtime", "active_isa", PerShard, |_| {
+        json::str(htc_linalg::active_isa().name())
+    }),
+    figure("runtime", "workers", PerShard, |v| {
+        int(v.config.workers as u64)
+    }),
+    figure("runtime", "active_connections", PerShard, |v| {
+        int(v.metrics.active_connections.get())
+    }),
+    figure("runtime", "queue_depth", PerShard, |v| {
+        int(v.metrics.queue_depth.get())
+    }),
+    figure("runtime", "queue_high_water", PerShard, |v| {
+        int(v.metrics.queue_depth.high_water())
+    }),
+    figure("runtime", "total_connections", Sum, |v| {
+        int(v.metrics.total_connections.get())
+    }),
+    figure("runtime", "total_requests", Sum, |v| {
+        int(v.metrics.total_requests.get())
+    }),
+    figure("runtime", "reuse_ratio", PerShard, |v| {
+        json::num(v.metrics.reuse_ratio())
+    }),
+    figure("runtime", "parked", Sum, |v| int(v.metrics.parked.get())),
+    figure("runtime", "reactor_wakeups", Sum, |v| {
+        int(v.metrics.reactor_wakeups.get())
+    }),
+    figure("runtime", "stall_timeouts_closed", Sum, |v| {
+        int(v.metrics.stall_timeouts_closed.get())
+    }),
+    figure("runtime", "peer_cap_rejections", Sum, |v| {
+        int(v.metrics.peer_cap_rejections.get())
+    }),
+    figure("runtime", "shed_connections", Sum, |v| {
+        int(v.metrics.shed_connections.get())
+    }),
+    figure("runtime", "worker_panics", Sum, |v| {
+        int(v.metrics.worker_panics.get())
+    }),
+    figure("cache", "entries", PerShard, |v| int(v.entries as u64)),
+    figure("cache", "capacity", PerShard, |v| int(v.capacity as u64)),
+    figure("cache", "hits", Sum, |v| int(v.cache.hits)),
+    figure("cache", "misses", Sum, |v| int(v.cache.misses)),
+    figure("cache", "evictions", Sum, |v| int(v.cache.evictions)),
+    figure("cache", "hit_rate", PerShard, |v| {
+        json::num(v.cache.hit_rate())
+    }),
+    figure("cache", "spills", Sum, |v| {
+        int(v.durable(|store| &store.spills))
+    }),
+    figure("cache", "reloads", Sum, |v| {
+        int(v.durable(|store| &store.reloads))
+    }),
+    figure("cache", "reload_errors", Sum, |v| {
+        int(v.durable(|store| &store.reload_errors))
+    }),
+    figure("batching", "batches", Sum, |v| int(v.requests.batches)),
+    figure("batching", "batched_requests", Sum, |v| {
+        int(v.requests.batched_requests)
+    }),
+    figure("batching", "max_batch", PerShard, |v| {
+        int(v.requests.max_batch)
+    }),
+    figure("robustness", "pressure_level", PerShard, |v| {
+        int(v.pressure as u64)
+    }),
+    figure("robustness", "deadline_expired", Sum, |v| {
+        int(v.metrics.deadline_expired.get())
+    }),
+    figure("robustness", "rate_limited", Sum, |v| {
+        int(v.metrics.rate_limited.get())
+    }),
+    figure("robustness", "degraded_responses", Sum, |v| {
+        int(v.metrics.degraded_responses.get())
+    }),
+    figure("robustness", "faults_injected", PerShard, |v| {
+        int(v.config.fault.as_ref().map_or(0, |p| p.injected.get()))
+    }),
+    // The tier the default preset runs at — operators use this to confirm a
+    // node serves Large-tier (blocked top-k) traffic before pointing a
+    // 100k-node workload at it.
+    figure("pipeline", "default_preset", PerShard, |v| {
+        json::str(&v.config.default_preset)
+    }),
+    figure("pipeline", "scale", PerShard, |v| {
+        json::str(v.shared.default_config.scale.name())
+    }),
+    figure("pipeline", "top_k", PerShard, |v| {
+        int(v.shared.default_config.top_k as u64)
+    }),
+    figure("pipeline", "max_nodes", PerShard, |v| {
+        int(v.config.max_nodes as u64)
+    }),
+    figure("", "busy_sessions", PerShard, |v| {
+        int(v.busy_sessions as u64)
+    }),
+    // `StageTimer` renders its own JSON; embedded verbatim.
+    figure("", "shared_stages", PerShard, |v| {
+        Json::Raw(v.shared_stages.stages_json())
+    }),
+    figure("", "request_stages", PerShard, |v| {
+        Json::Raw(v.request_stages.stages_json())
+    }),
+];
+
+/// Nests figures for rendering: consecutive rows of one group become one
+/// object member named after the group, and `""` rows stay top-level
+/// members.
+pub fn group_figures(
+    figures: impl IntoIterator<Item = (&'static Figure, Json)>,
+) -> Vec<(&'static str, Json)> {
+    let mut members: Vec<(&'static str, Json)> = Vec::new();
+    // The group of the object `members` currently ends with ("" for none).
+    let mut open = "";
+    for (figure, value) in figures {
+        match members.last_mut() {
+            Some((_, Json::Obj(fields))) if figure.group == open && !open.is_empty() => {
+                fields.push((figure.field.to_string(), value))
+            }
+            _ if figure.group.is_empty() => members.push((figure.field, value)),
+            _ => members.push((figure.group, json::obj(vec![(figure.field, value)]))),
+        }
+        open = figure.group;
+    }
+    members
+}
+
+/// What one `/stats` scrape reads, captured under the cache, request-counter
+/// and request-timer locks (in that order); the [`STATS`] readers run on it
+/// after every lock is released.  The runtime counters are atomics and are
+/// read live.
+struct StatsView<'a> {
+    shared: &'a Shared,
+    config: &'a ServerConfig,
+    metrics: &'a RuntimeMetrics,
+    cache: CacheStats,
+    entries: usize,
+    capacity: usize,
+    busy_sessions: usize,
+    shared_stages: StageTimer,
+    requests: RequestStats,
+    request_stages: StageTimer,
+    pressure: u8,
+}
+
+impl<'a> StatsView<'a> {
+    fn capture(shared: &'a Shared) -> Self {
+        let cache = shared.cache.lock().unwrap();
+        let mut shared_stages = StageTimer::new();
+        let mut busy_sessions = 0usize;
+        for entry in cache.values() {
+            // try_lock: a session mid-alignment should not stall /stats.
+            match entry.session.try_lock() {
+                Ok(session) => shared_stages.merge(session.timer()),
+                Err(_) => busy_sessions += 1,
+            }
+        }
+        let (cache_stats, entries, capacity) = (cache.stats(), cache.len(), cache.capacity());
+        drop(cache);
+        let requests = shared.requests.lock().unwrap();
+        StatsView {
+            shared,
+            config: &shared.config,
+            metrics: &shared.metrics,
+            cache: cache_stats,
+            entries,
+            capacity,
+            busy_sessions,
+            shared_stages,
+            requests: *requests,
+            request_stages: shared.request_timer.lock().unwrap().clone(),
+            pressure: pressure_level(
+                shared.metrics.queue_depth.get(),
+                shared.config.queue_capacity,
+            ),
         }
     }
-    let entries = cache.len();
-    let capacity = cache.capacity();
-    drop(cache);
-    let (spills, reloads, reload_errors) = match &shared.durable {
-        Some(store) => (
-            store.spills.get(),
-            store.reloads.get(),
-            store.reload_errors.get(),
-        ),
-        None => (0, 0, 0),
-    };
-    let requests = shared.requests.lock().unwrap();
-    let request_timer = shared.request_timer.lock().unwrap();
-    let metrics = &shared.metrics;
-    json::obj(vec![
-        (
-            "uptime_seconds",
-            json::num(shared.started.elapsed().as_secs_f64()),
-        ),
-        (
-            "requests",
-            json::obj(vec![
-                ("total", json::num(metrics.total_requests.get() as f64)),
-                ("align_ok", json::num(requests.align_ok as f64)),
-                ("align_err", json::num(requests.align_err as f64)),
-            ]),
-        ),
-        (
-            "runtime",
-            json::obj(vec![
-                // The kernel ISA the dispatcher selected (or was forced to
-                // via HTC_FORCE_ISA) — the /stats view of the same decision
-                // `linalg::active_isa()` reports.
-                ("active_isa", json::str(htc_linalg::active_isa().name())),
-                ("workers", json::num(shared.config.workers as f64)),
-                (
-                    "active_connections",
-                    json::num(metrics.active_connections.get() as f64),
-                ),
-                ("queue_depth", json::num(metrics.queue_depth.get() as f64)),
-                (
-                    "queue_high_water",
-                    json::num(metrics.queue_depth.high_water() as f64),
-                ),
-                (
-                    "total_connections",
-                    json::num(metrics.total_connections.get() as f64),
-                ),
-                (
-                    "total_requests",
-                    json::num(metrics.total_requests.get() as f64),
-                ),
-                ("reuse_ratio", json::num(metrics.reuse_ratio())),
-                ("parked", json::num(metrics.parked.get() as f64)),
-                (
-                    "reactor_wakeups",
-                    json::num(metrics.reactor_wakeups.get() as f64),
-                ),
-                (
-                    "stall_timeouts_closed",
-                    json::num(metrics.stall_timeouts_closed.get() as f64),
-                ),
-                (
-                    "peer_cap_rejections",
-                    json::num(metrics.peer_cap_rejections.get() as f64),
-                ),
-                (
-                    "shed_connections",
-                    json::num(metrics.shed_connections.get() as f64),
-                ),
-                (
-                    "worker_panics",
-                    json::num(metrics.worker_panics.get() as f64),
-                ),
-            ]),
-        ),
-        (
-            "cache",
-            json::obj(vec![
-                ("entries", json::num(entries as f64)),
-                ("capacity", json::num(capacity as f64)),
-                ("hits", json::num(cache_stats.hits as f64)),
-                ("misses", json::num(cache_stats.misses as f64)),
-                ("evictions", json::num(cache_stats.evictions as f64)),
-                ("hit_rate", json::num(cache_stats.hit_rate())),
-                ("spills", json::num(spills as f64)),
-                ("reloads", json::num(reloads as f64)),
-                ("reload_errors", json::num(reload_errors as f64)),
-            ]),
-        ),
-        (
-            "batching",
-            json::obj(vec![
-                ("batches", json::num(requests.batches as f64)),
-                (
-                    "batched_requests",
-                    json::num(requests.batched_requests as f64),
-                ),
-                ("max_batch", json::num(requests.max_batch as f64)),
-            ]),
-        ),
-        (
-            "robustness",
-            json::obj(vec![
-                (
-                    "pressure_level",
-                    json::num(pressure_level(
-                        metrics.queue_depth.get(),
-                        shared.config.queue_capacity,
-                    ) as f64),
-                ),
-                (
-                    "deadline_expired",
-                    json::num(metrics.deadline_expired.get() as f64),
-                ),
-                ("rate_limited", json::num(metrics.rate_limited.get() as f64)),
-                (
-                    "degraded_responses",
-                    json::num(metrics.degraded_responses.get() as f64),
-                ),
-                (
-                    "faults_injected",
-                    json::num(
-                        shared
-                            .config
-                            .fault
-                            .as_ref()
-                            .map_or(0, |plan| plan.injected.get()) as f64,
-                    ),
-                ),
-            ]),
-        ),
-        ("pipeline", {
-            // The tier the default preset runs at — operators use this
-            // to confirm a node serves Large-tier (blocked top-k)
-            // traffic before pointing a 100k-node workload at it.
-            let default_config =
-                preset_config(&shared.config.default_preset).unwrap_or_else(|_| HtcConfig::fast());
-            json::obj(vec![
-                (
-                    "default_preset",
-                    json::str(shared.config.default_preset.clone()),
-                ),
-                ("scale", json::str(default_config.scale.name())),
-                ("top_k", json::num(default_config.top_k as f64)),
-                ("max_nodes", json::num(shared.config.max_nodes as f64)),
-            ])
-        }),
-        ("busy_sessions", json::num(busy_sessions as f64)),
-        ("shared_stages", json_raw(shared_stages.stages_json())),
-        ("request_stages", json_raw(request_timer.stages_json())),
-    ])
+
+    /// One durable spill-layer counter (0 without a `--cache-dir`).
+    fn durable(&self, counter: fn(&DurableStore) -> &Counter) -> u64 {
+        self.shared
+            .durable
+            .as_ref()
+            .map_or(0, |store| counter(store).get())
+    }
+}
+
+/// Renders `/stats`: one snapshot, every [`STATS`] row read off it.
+fn stats_json(shared: &Shared) -> String {
+    let view = StatsView::capture(shared);
+    json::obj(group_figures(
+        STATS.iter().map(|figure| (figure, (figure.read)(&view))),
+    ))
     .render()
 }
 
-/// Wraps an already-rendered JSON fragment (`StageTimer::stages_json` renders
-/// its own JSON) so it can be embedded without re-parsing.
-fn json_raw(fragment: String) -> Json {
-    Json::Raw(fragment)
-}
+/// The fraction of the worker pool one source fingerprint may occupy while
+/// the server is under queue pressure (see [`crate::fair::SourceGate`]).
+const SOURCE_SHARE: f64 = 0.75;
 
 /// The parsed, validated body of a `POST /align`.
 struct AlignRequest {
@@ -865,14 +959,18 @@ fn parse_align_request(shared: &Shared, body: &[u8]) -> Result<AlignRequest, Ser
         .map_err(|_| ServeError::bad_request("request body is not UTF-8"))?;
     let root = json::parse(text)
         .map_err(|e| ServeError::bad_request(format!("invalid JSON body: {e}")))?;
-    let preset_name = match root.get("preset") {
-        None => shared.config.default_preset.clone(),
-        Some(p) => p
-            .as_str()
-            .ok_or_else(|| ServeError::bad_request("preset must be a string"))?
-            .to_string(),
+    let (preset_name, mut config) = match root.get("preset") {
+        None => (
+            shared.config.default_preset.clone(),
+            shared.default_config.clone(),
+        ),
+        Some(p) => {
+            let name = p
+                .as_str()
+                .ok_or_else(|| ServeError::bad_request("preset must be a string"))?;
+            (name.to_string(), preset_config(name)?)
+        }
     };
-    let mut config = preset_config(&preset_name)?;
     let mut config_tag = preset_name.clone();
     if let Some(epochs) = root.get("epochs") {
         let epochs = epochs
@@ -1013,13 +1111,11 @@ fn handle_align(
         preset: config_tag,
     };
     // Weighted fair scheduling: under pressure, one source fingerprint may
-    // hold at most its share of the worker pool; below it the gate only
+    // hold at most `SOURCE_SHARE` of the worker pool; below it the gate only
     // tracks occupancy (an idle server never rejects).  The slot is RAII —
     // held until this request finishes.
-    let source_cap = (pressure >= 1 && shared.config.fairness.source_share > 0.0).then(|| {
-        ((shared.config.workers as f64 * shared.config.fairness.source_share).floor() as usize)
-            .max(1)
-    });
+    let source_cap = (pressure >= 1)
+        .then(|| ((shared.config.workers as f64 * SOURCE_SHARE).floor() as usize).max(1));
     let _slot = shared
         .gate
         .acquire(key.fingerprint, source_cap)

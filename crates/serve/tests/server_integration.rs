@@ -342,6 +342,91 @@ fn max_nodes_rejects_oversized_requests_with_structured_413() {
     server.shutdown();
 }
 
+/// The ordered key paths of a fresh shard's `/stats` — `group.field`, or a
+/// top-level `field`.  Consumers read these paths (`htcbench`, `serve_load`,
+/// the CI smoke checks, the `get_num` helpers here), so a figure is renamed,
+/// dropped or moved only together with this list.
+const STATS_KEY_PATHS: &[&str] = &[
+    "uptime_seconds",
+    "requests.total",
+    "requests.align_ok",
+    "requests.align_err",
+    "runtime.active_isa",
+    "runtime.workers",
+    "runtime.active_connections",
+    "runtime.queue_depth",
+    "runtime.queue_high_water",
+    "runtime.total_connections",
+    "runtime.total_requests",
+    "runtime.reuse_ratio",
+    "runtime.parked",
+    "runtime.reactor_wakeups",
+    "runtime.stall_timeouts_closed",
+    "runtime.peer_cap_rejections",
+    "runtime.shed_connections",
+    "runtime.worker_panics",
+    "cache.entries",
+    "cache.capacity",
+    "cache.hits",
+    "cache.misses",
+    "cache.evictions",
+    "cache.hit_rate",
+    "cache.spills",
+    "cache.reloads",
+    "cache.reload_errors",
+    "batching.batches",
+    "batching.batched_requests",
+    "batching.max_batch",
+    "robustness.pressure_level",
+    "robustness.deadline_expired",
+    "robustness.rate_limited",
+    "robustness.degraded_responses",
+    "robustness.faults_injected",
+    "pipeline.default_preset",
+    "pipeline.scale",
+    "pipeline.top_k",
+    "pipeline.max_nodes",
+    "busy_sessions",
+    "shared_stages",
+    "request_stages",
+];
+
+#[test]
+fn stats_key_paths_are_pinned() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let (status, stats) = request(server.addr(), "GET", "/stats", "");
+    assert_eq!(status, 200);
+    let json::Json::Obj(members) = &stats else {
+        panic!("/stats is not an object: {}", stats.render())
+    };
+    let mut paths = Vec::new();
+    for (key, value) in members {
+        match value {
+            json::Json::Obj(fields) => {
+                paths.extend(fields.iter().map(|(field, _)| format!("{key}.{field}")))
+            }
+            _ => paths.push(key.clone()),
+        }
+    }
+    assert_eq!(paths, STATS_KEY_PATHS);
+    server.shutdown();
+}
+
+/// An unknown `default_preset` fails startup: serving would answer every
+/// preset-less request `400 unknown preset` while `/stats` reported some
+/// other preset's tier.
+#[test]
+fn unknown_default_preset_fails_startup() {
+    let Err(err) = Server::start(ServerConfig {
+        default_preset: "bogus".into(),
+        ..ServerConfig::default()
+    }) else {
+        panic!("a server with default preset \"bogus\" started");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("bogus"), "{err}");
+}
+
 /// The body of a 90-byte request whose declared source size would make the
 /// graph builder allocate terabytes before reading an edge.
 const OVERSIZED_NUM_NODES: &str = "{\"source\":{\"num_nodes\":1000000000000,\"edges\":[]},\
