@@ -5,13 +5,13 @@
 //!
 //! | Method | Signal | Supervision |
 //! |---|---|---|
-//! | [`IsoRank`](isorank::IsoRank) | topology | prior alignment matrix (10 % seeds) |
-//! | [`Final`](final_algo::Final) | topology + attributes | prior alignment matrix (10 % seeds) |
-//! | [`Pale`](pale::Pale) | topology embeddings | 10 % seed anchors |
-//! | [`Cenalp`](cenalp::Cenalp) | topology + attributes | 10 % seed anchors |
-//! | [`Regal`](regal::Regal) | topology + attributes | none |
-//! | [`GAlign`](galign::GAlign) | topology + attributes (GCN) | none |
-//! | [`DegreeAttr`](degree::DegreeAttr) | degrees + raw attributes | none |
+//! | [`IsoRank`] | topology | prior alignment matrix (10 % seeds) |
+//! | [`Final`] | topology + attributes | prior alignment matrix (10 % seeds) |
+//! | [`Pale`] | topology embeddings | 10 % seed anchors |
+//! | [`Cenalp`] | topology + attributes | 10 % seed anchors |
+//! | [`Regal`] | topology + attributes | none |
+//! | [`GAlign`] | topology + attributes (GCN) | none |
+//! | [`DegreeAttr`] | degrees + raw attributes | none |
 //!
 //! Every method implements the common [`Aligner`] trait so the benchmark
 //! harness can treat them uniformly.  The implementations follow the

@@ -233,6 +233,20 @@ impl HtcConfig {
         }
     }
 
+    /// The named preset — `fast`, `small`, `paper` or `large` — the one map
+    /// from a preset name (CLI flag, request field) to its configuration.
+    pub fn preset(name: &str) -> std::result::Result<HtcConfig, String> {
+        match name {
+            "fast" => Ok(Self::fast()),
+            "small" => Ok(Self::small()),
+            "paper" => Ok(Self::paper()),
+            "large" => Ok(Self::large()),
+            other => Err(format!(
+                "unknown preset {other:?} (expected fast|small|paper|large)"
+            )),
+        }
+    }
+
     /// Embedding (output) dimension `d`.
     pub fn embedding_dim(&self) -> usize {
         *self
@@ -390,6 +404,18 @@ mod tests {
         assert!(HtcConfig::fast().validate().is_ok());
         assert!(HtcConfig::small().validate().is_ok());
         assert!(HtcConfig::fast().num_views() <= 5);
+    }
+
+    #[test]
+    fn presets_resolve_by_name() {
+        assert_eq!(HtcConfig::preset("fast"), Ok(HtcConfig::fast()));
+        assert_eq!(HtcConfig::preset("small"), Ok(HtcConfig::small()));
+        assert_eq!(HtcConfig::preset("paper"), Ok(HtcConfig::paper()));
+        assert_eq!(HtcConfig::preset("large"), Ok(HtcConfig::large()));
+        assert_eq!(
+            HtcConfig::preset("huge"),
+            Err("unknown preset \"huge\" (expected fast|small|paper|large)".to_string())
+        );
     }
 
     #[test]

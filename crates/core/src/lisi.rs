@@ -190,7 +190,7 @@ struct ChunkScratch {
 }
 
 /// Reusable buffers for the blocked LISI path: normalised embedding copies
-/// plus one [`ChunkScratch`] per parallel chunk.
+/// plus one `ChunkScratch` per parallel chunk.
 #[derive(Debug, Clone, Default)]
 pub struct BlockedLisiScratch {
     norm_source: DenseMatrix,

@@ -1,14 +1,12 @@
 //! Versioned binary persistence for session stage artifacts.
 //!
 //! Three artifact kinds are persisted: the trained shared encoder
-//! ([`TrainedEncoder`](crate::session::TrainedEncoder)), the source-side
-//! topology views including the GOMs
-//! ([`TopologyViews`](crate::session::TopologyViews)), and the `Large`-tier
-//! top-k alignment candidates ([`TopKRows`](crate::topk::TopKRows)).
-//! Together they let a serving process warm-start — skip orbit counting *and*
-//! training — from artifacts produced by another process, and let a
-//! `Large`-tier run hand its candidate set to downstream tooling without
-//! ever materialising the dense matrix.
+//! ([`TrainedEncoder`]), the source-side topology views including the GOMs
+//! ([`TopologyViews`]), and the `Large`-tier top-k alignment candidates
+//! ([`TopKRows`]).  Together they let a serving process warm-start — skip
+//! orbit counting *and* training — from artifacts produced by another
+//! process, and let a `Large`-tier run hand its candidate set to downstream
+//! tooling without ever materialising the dense matrix.
 //!
 //! ## Format
 //!

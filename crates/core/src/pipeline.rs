@@ -1,8 +1,8 @@
 //! The end-to-end HTC alignment pipeline (Fig. 3 of the paper).
 //!
 //! [`HtcAligner::align`] is the monolithic entry point; it delegates to a
-//! one-shot [`AlignmentSession`](crate::session::AlignmentSession) and is
-//! bit-identical to running the session stage-by-stage (test-enforced).
+//! one-shot [`AlignmentSession`] and is bit-identical to running the session
+//! stage-by-stage (test-enforced).
 
 use crate::config::HtcConfig;
 use crate::session::AlignmentSession;
@@ -171,9 +171,8 @@ impl HtcAligner {
     /// Aligns `source` against `target`, returning the alignment matrix and
     /// per-stage diagnostics.
     ///
-    /// This is a thin wrapper over a one-shot
-    /// [`AlignmentSession`](crate::session::AlignmentSession): it opens a
-    /// session on `source` and runs the pairwise (jointly trained) pipeline
+    /// This is a thin wrapper over a one-shot [`AlignmentSession`]: it opens
+    /// a session on `source` and runs the pairwise (jointly trained) pipeline
     /// against `target`.  Callers aligning the same source repeatedly should
     /// hold a session instead and let it reuse the source-side artifacts.
     pub fn align(

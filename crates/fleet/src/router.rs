@@ -521,6 +521,7 @@ fn fleet_stats(shared: &Arc<RouterShared>) -> String {
                     "total_requests",
                     json::num(runtime.total_requests.get() as f64),
                 ),
+                ("reuse_ratio", json::num(runtime.reuse_ratio())),
                 (
                     "shed_connections",
                     json::num(runtime.shed_connections.get() as f64),

@@ -251,10 +251,12 @@ fn stats_aggregation_sums_match_per_shard_values() {
     assert_eq!(total(&["fleet", "healthy"]), 2.0);
     assert_eq!(total(&["router", "proxied_ok"]), 4.0);
     assert_eq!(total(&["router", "bad_gateway"]), 0.0);
-    // The router's own runtime reports its worker panics and stall
-    // teardowns next to the proxy counters.
+    // The router's own runtime reports its worker panics, stall teardowns
+    // and connection reuse next to the proxy counters; every request above
+    // rode one keep-alive connection.
     assert_eq!(total(&["router", "worker_panics"]), 0.0);
     assert!(stats_value(&aggregated, &["router", "stall_timeouts_closed"]).is_some());
+    assert!(total(&["router", "reuse_ratio"]) >= 1.0);
     // The per-shard raw snapshots ride along for drill-down.
     let members = aggregated.get("shards").and_then(Json::as_arr).unwrap();
     assert_eq!(members.len(), 2);

@@ -14,16 +14,27 @@ use crate::parallel::parallel_map;
 /// This is the one scaled-accumulate kernel in the workspace: gradient
 /// accumulation in training, `DenseMatrix::add_scaled_inplace` and the
 /// weighted integration of per-orbit alignment matrices all route through it,
-/// so there is exactly one code path to keep fast.  The implementation is the
-/// ISA-dispatched kernel from [`crate::kernels`] (explicit AVX-512 / AVX2 /
-/// NEON where supported, scalar fallback elsewhere); every variant performs
-/// the identical mul-then-add rounding sequence, so results are bit-identical
-/// across ISAs.
+/// so there is exactly one code path to keep fast.  It is a plain loop that
+/// the compiler vectorises for the host CPU; the multiply and the add round
+/// separately (Rust never contracts them into an FMA), so results are
+/// bit-identical across ISAs.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    (crate::kernels::active().axpy)(alpha, x, y)
+    assert_eq!(x.len(), y.len(), "axpy operands must have equal lengths");
+    // Chunked so LLVM has a clean unroll target.
+    const W: usize = 8;
+    let mut yc = y.chunks_exact_mut(W);
+    let mut xc = x.chunks_exact(W);
+    for (yb, xb) in yc.by_ref().zip(xc.by_ref()) {
+        for (yv, &xv) in yb.iter_mut().zip(xb) {
+            *yv += alpha * xv;
+        }
+    }
+    for (yv, &xv) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
+        *yv += alpha * xv;
+    }
 }
 
 /// Mean-centres and ℓ₂-normalises every row of `m` in place.
@@ -218,6 +229,12 @@ pub fn rank_of(values: &[f64], target: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "axpy operands must have equal lengths")]
+    fn axpy_rejects_mismatched_lengths() {
+        axpy(1.0, &[1.0, 2.0], &mut [0.0; 3]);
+    }
 
     #[test]
     fn pearson_rows_have_zero_mean_unit_norm() {

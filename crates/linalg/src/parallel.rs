@@ -386,10 +386,10 @@ where
 }
 
 /// Maps `f` over `0..len` with **one pool task per index**, collecting the
-/// results in order.
+/// results in order: [`parallel_scratch_map`] over `len` unit slots.
 ///
 /// Unlike [`parallel_map`] this neither requires `Clone + Default` nor
-/// batches indices by [`MIN_ELEMENTS_PER_THREAD`]: it is intended for a small
+/// batches indices by `MIN_ELEMENTS_PER_THREAD`: it is intended for a small
 /// number of coarse-grained work items — per-orbit pipeline stages — where
 /// each item is itself worth milliseconds or more.  Any parallel helper the
 /// items call internally runs inline on its worker (no nested
@@ -399,34 +399,15 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if len == 0 {
-        return Vec::new();
-    }
-    if num_threads() <= 1 || len == 1 || on_pool_worker() {
-        return (0..len).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    let base = SendPtr(out.as_mut_ptr());
-    let adapter = |start: usize, end: usize| {
-        for i in start..end {
-            let value = f(i);
-            // SAFETY: each index is covered by exactly one task chunk.
-            unsafe { *base.ptr().add(i) = Some(value) };
-        }
-    };
-    let chunks: Vec<(usize, usize)> = (0..len).map(|i| (i, i + 1)).collect();
-    Pool::global().run_chunks(&chunks, &adapter);
-    out.into_iter()
-        .map(|slot| slot.expect("every task fills its slot"))
-        .collect()
+    parallel_scratch_map(&mut vec![(); len], |i, _| f(i))
 }
 
 /// Maps `f` over the slots of `scratch` with **one pool task per slot**,
 /// handing each task exclusive `&mut` access to its slot, and collects the
 /// results in order.
 ///
-/// This is [`parallel_task_map`] for workers that carry per-task state: the
-/// blocked LISI sweep gives every chunk its own scratch (correlation block,
+/// Workers that carry per-task state borrow it from their slot: the blocked
+/// LISI sweep gives every chunk its own scratch (correlation block,
 /// per-column selection buffers) that must persist across two parallel passes,
 /// so the tasks borrow the slots rather than returning them.  Like every
 /// helper here it runs inline when `HTC_NUM_THREADS=1`, when there is at most

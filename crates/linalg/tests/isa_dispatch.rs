@@ -5,8 +5,8 @@
 //! state, so every test here serialises on one mutex and restores the
 //! default before releasing it.  The FMA GEMM kernels are held to the
 //! documented bound `|simd − scalar| ≤ k · ε · (1 + Σ_p |a_p·b_p|)` (fused
-//! multiply-add skips one rounding per k-step); the element-wise kernels and
-//! the small-product fast path are held to exact equality.
+//! multiply-add skips one rounding per k-step); `ops::axpy` and the
+//! small-product fast path are held to exact equality.
 
 use htc_linalg::kernels::{self, Isa};
 use htc_linalg::ops::axpy;

@@ -77,12 +77,10 @@ impl Activation {
     ///
     /// Replaces the two-pass `derivative` + `hadamard` sequence (which
     /// materialised the derivative matrix) on the training hot path.
-    /// `Identity` and `Relu` route through the ISA-dispatched kernels in
-    /// `htc_linalg::kernels` (a copy and a masked select — bit-identical to
-    /// the scalar loop on every ISA); `Tanh` and `Sigmoid` stay on the scalar
-    /// path because their derivatives are transcendental (`tanh`/`exp` have
-    /// no vector form in core Rust) and a polynomial approximation would
-    /// break the cross-ISA determinism contract.
+    /// `Identity` is a copy and `Relu` a select; `Tanh` and `Sigmoid`
+    /// multiply by the scalar derivative, whose `tanh`/`exp` have no vector
+    /// form in core Rust (a polynomial approximation would break the
+    /// cross-ISA determinism contract).
     ///
     /// # Panics
     /// Panics if the two input shapes differ.
@@ -100,14 +98,17 @@ impl Activation {
         match self {
             Activation::Identity => dz.copy_from(grad_out),
             Activation::Relu => {
-                // Shape only — the kernel writes every element of dz.
+                // Shape only — the loop writes every element of dz.
                 let (rows, cols) = grad_out.shape();
                 dz.resize_for_overwrite(rows, cols);
-                (htc_linalg::kernels::active().relu_backprop)(
-                    pre_activation.data(),
-                    grad_out.data(),
-                    dz.data_mut(),
-                );
+                for ((d, &z), &g) in dz
+                    .data_mut()
+                    .iter_mut()
+                    .zip(pre_activation.data())
+                    .zip(grad_out.data())
+                {
+                    *d = if z > 0.0 { g } else { 0.0 };
+                }
             }
             Activation::Tanh | Activation::Sigmoid => {
                 dz.copy_from(grad_out);

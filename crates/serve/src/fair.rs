@@ -24,6 +24,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Distinct client identities tracked before the least-recent bucket is
+/// evicted (a flood of spoofed identities must not grow memory).
+const MAX_TRACKED_PEERS: usize = 1024;
+
 /// Fairness/rate-limit configuration, part of `ServerConfig`.
 #[derive(Debug, Clone)]
 pub struct FairnessConfig {
@@ -33,9 +37,6 @@ pub struct FairnessConfig {
     pub peer_tokens_per_sec: f64,
     /// Token-bucket capacity: the burst a quiet client may send at once.
     pub peer_burst: f64,
-    /// Distinct client identities tracked before the least-recent bucket is
-    /// evicted (a flood of spoofed identities must not grow memory).
-    pub max_tracked_peers: usize,
 }
 
 impl Default for FairnessConfig {
@@ -43,7 +44,6 @@ impl Default for FairnessConfig {
         Self {
             peer_tokens_per_sec: 0.0,
             peer_burst: 8.0,
-            max_tracked_peers: 1024,
         }
     }
 }
@@ -59,7 +59,6 @@ struct Bucket {
 pub struct PeerLimiter {
     rate: f64,
     burst: f64,
-    max_peers: usize,
     state: Mutex<(Vec<Bucket>, u64)>,
 }
 
@@ -68,7 +67,6 @@ impl PeerLimiter {
         Self {
             rate: config.peer_tokens_per_sec.max(0.0),
             burst: config.peer_burst.max(1.0),
-            max_peers: config.max_tracked_peers.max(1),
             state: Mutex::new((Vec::new(), 0)),
         }
     }
@@ -91,7 +89,7 @@ impl PeerLimiter {
         let bucket = match buckets.iter_mut().find(|b| b.peer == peer) {
             Some(bucket) => bucket,
             None => {
-                if buckets.len() >= self.max_peers {
+                if buckets.len() >= MAX_TRACKED_PEERS {
                     // Evict the least-recently-used identity; a brand-new
                     // peer starts with a full burst either way.
                     let lru = buckets
@@ -199,7 +197,6 @@ mod tests {
         FairnessConfig {
             peer_tokens_per_sec: rate,
             peer_burst: burst,
-            ..FairnessConfig::default()
         }
     }
 
@@ -231,16 +228,16 @@ mod tests {
 
     #[test]
     fn tracked_peers_are_bounded_by_lru_eviction() {
-        let mut cfg = config(1.0, 1.0);
-        cfg.max_tracked_peers = 2;
-        let limiter = PeerLimiter::new(&cfg);
+        let limiter = PeerLimiter::new(&config(1.0, 1.0));
         let t0 = Instant::now();
-        assert!(limiter.admit("a", t0).is_ok());
-        assert!(limiter.admit("b", t0).is_ok());
-        // "c" evicts the LRU identity ("a"); both get fresh buckets.
-        assert!(limiter.admit("c", t0).is_ok());
-        assert!(limiter.admit("a", t0).is_ok(), "evicted peer re-registers");
-        assert_eq!(limiter.state.lock().unwrap().0.len(), 2);
+        // Fill the table; identity "0" is the least recently used.
+        for peer in 0..MAX_TRACKED_PEERS {
+            assert!(limiter.admit(&peer.to_string(), t0).is_ok());
+        }
+        // One more identity evicts "0"; both get fresh buckets.
+        assert!(limiter.admit("new", t0).is_ok());
+        assert!(limiter.admit("0", t0).is_ok(), "evicted peer re-registers");
+        assert_eq!(limiter.state.lock().unwrap().0.len(), MAX_TRACKED_PEERS);
     }
 
     #[test]

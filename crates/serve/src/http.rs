@@ -486,7 +486,7 @@ fn write_json(
 /// A `Transfer-Encoding: chunked` response body in progress.
 ///
 /// Text accumulates in a fixed-size buffer and leaves as a chunk whenever
-/// [`CHUNK_BYTES`] fill up, so the peak memory of a response is one chunk —
+/// `CHUNK_BYTES` fill up, so the peak memory of a response is one chunk —
 /// not the whole body.  The writer implements [`std::fmt::Write`]; I/O errors
 /// are latched and reported by [`finish`](Self::finish) (mid-render there is
 /// nothing useful a renderer could do with them).

@@ -418,6 +418,121 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Fragments that reach every branch of the parser: structure, literals
+    /// and their prefixes, number shapes (overflowing ones included), valid,
+    /// truncated and unknown escapes, raw control and multi-byte characters.
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", " ", "\n", "\"", "\\", "\"k\"", "true", "tru", "false",
+        "null", "nul", "0", "-", "-0", "12", "1.5", ".", "e", "E+", "1e309", "-1e-400", "01",
+        "\\u", "\\u00e9", "\\uD800", "\\u12", "\\u+7f", "\\x", "\\n", "\u{1}", "é", "😀",
+        "[[[[[[[[", "]]]]]]]]",
+    ];
+
+    /// Characters a string may carry through render → parse: quotes,
+    /// backslashes, escaped and raw-rendered control characters, multi-byte
+    /// scalars.
+    const STRING_CHARS: &[char] = &[
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}', '\u{7f}', 'é',
+        '€', '\u{2028}', '\u{fffd}', '😀',
+    ];
+
+    /// Finite numbers of every rendering shape: integers, fractions, the
+    /// extremes, subnormals, `-0.0` and arbitrary bit patterns.
+    fn random_number(rng: &mut TestRng) -> f64 {
+        const SPECIAL: &[f64] = &[
+            0.0,
+            -0.0,
+            0.1,
+            9e15,
+            -9e15,
+            1e21,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        match rng.next_u64() % 4 {
+            0 => (rng.next_u64() % 2001) as f64 - 1000.0,
+            1 => rng.next_f64() * 2.0 - 1.0,
+            2 => SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize],
+            _ => loop {
+                let v = f64::from_bits(rng.next_u64());
+                if v.is_finite() {
+                    break v;
+                }
+            },
+        }
+    }
+
+    fn random_string(rng: &mut TestRng) -> String {
+        (0..rng.next_u64() % 6)
+            .map(|_| STRING_CHARS[(rng.next_u64() % STRING_CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A random object nested up to `depth` levels, with finite numbers.
+    fn random_object(rng: &mut TestRng, depth: usize) -> Json {
+        Json::Obj(
+            (0..rng.next_u64() % 4)
+                .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                .collect(),
+        )
+    }
+
+    fn random_value(rng: &mut TestRng, depth: usize) -> Json {
+        match rng.next_u64() % if depth == 0 { 4 } else { 6 } {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_u64().is_multiple_of(2)),
+            2 => Json::Num(random_number(rng)),
+            3 => Json::Str(random_string(rng)),
+            4 => Json::Arr(
+                (0..rng.next_u64() % 4)
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => random_object(rng, depth),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn random_token_strings_never_panic(picks in collection::vec(0usize..TOKENS.len(), 0..48)) {
+            let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            // Any outcome but a panic is fine: the bytes are arbitrary.  Every
+            // prefix is tried too, so input may end inside any token.
+            for end in text.char_indices().map(|(i, _)| i).chain([text.len()]) {
+                let _ = parse(&text[..end]);
+            }
+        }
+
+        #[test]
+        fn render_parse_render_is_a_fixpoint(seed in 0u64..u64::MAX) {
+            let value = random_object(&mut TestRng::new(seed), 4);
+            let text = value.render();
+            let reparsed = parse(&text).map_err(TestCaseError::fail)?;
+            // Compared as text: rendering is many-to-one (`-0.0` and `0.0`
+            // both render as `0`).
+            prop_assert_eq!(reparsed.render(), text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_strict_prefix_of_an_object_is_rejected(seed in 0u64..u64::MAX) {
+            let text = random_object(&mut TestRng::new(seed), 3).render();
+            for (end, _) in text.char_indices() {
+                prop_assert!(parse(&text[..end]).is_err(), "prefix {:?} parsed", &text[..end]);
+            }
+        }
+    }
 
     #[test]
     fn parses_round_trippable_values() {

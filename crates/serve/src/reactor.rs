@@ -36,7 +36,7 @@
 //!   old `AwaitOutcome::IdleTimeout` behaviour).
 //!
 //! Shutdown keeps PR 4's drain contract: the acceptor exits first, then
-//! [`Reactor::drain_and_join`] closes every parked socket and joins the
+//! `Reactor::drain_and_join` closes every parked socket and joins the
 //! loop, then the queue closes and every worker is joined.
 
 use crate::runtime::{shed_conn, Conn, Queue, RuntimeMetrics};

@@ -242,8 +242,8 @@ impl Server {
     /// unknown `default_preset` is an
     /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error.
     pub fn start(mut config: ServerConfig) -> std::io::Result<Server> {
-        let default_config = preset_config(&config.default_preset)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.message))?;
+        let default_config = HtcConfig::preset(&config.default_preset)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         if config.workers == 0 {
@@ -801,18 +801,6 @@ struct AlignRequest {
     pairwise: bool,
 }
 
-fn preset_config(name: &str) -> Result<HtcConfig, ServeError> {
-    match name {
-        "fast" => Ok(HtcConfig::fast()),
-        "small" => Ok(HtcConfig::small()),
-        "paper" => Ok(HtcConfig::paper()),
-        "large" => Ok(HtcConfig::large()),
-        other => Err(ServeError::bad_request(format!(
-            "unknown preset {other:?} (expected fast|small|paper|large)"
-        ))),
-    }
-}
-
 /// Validates a request-supplied filesystem path against the configured
 /// artifact root: with a root, paths must be relative, `..`-free and resolve
 /// inside it; without one, they pass through (trusted operator).
@@ -968,7 +956,8 @@ fn parse_align_request(shared: &Shared, body: &[u8]) -> Result<AlignRequest, Ser
             let name = p
                 .as_str()
                 .ok_or_else(|| ServeError::bad_request("preset must be a string"))?;
-            (name.to_string(), preset_config(name)?)
+            let config = HtcConfig::preset(name).map_err(ServeError::bad_request)?;
+            (name.to_string(), config)
         }
     };
     let mut config_tag = preset_name.clone();

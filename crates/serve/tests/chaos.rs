@@ -306,7 +306,6 @@ fn hot_clients_are_rate_limited_with_retry_after() {
         fairness: FairnessConfig {
             peer_tokens_per_sec: 0.5,
             peer_burst: 2.0,
-            ..FairnessConfig::default()
         },
         ..ServerConfig::default()
     })

@@ -209,19 +209,21 @@ fn print_status_classes(stats: &ClientStats) {
 fn print_runtime_counters(addr: SocketAddr) {
     let stats = scrape_stats(addr).expect("stats probe kept being shed");
     let num = |v: &json::Json, key: &str| v.get(key).and_then(json::Json::as_f64).unwrap_or(-1.0);
-    // Older daemons have no runtime section; report what exists.
-    if let Some(runtime) = stats.get("runtime") {
+    // A shard reports its connection counters under `runtime`; a fleet
+    // router reports its own under `router` (without `parked`).  Print the
+    // keys the section has.
+    if let Some(runtime) = stats.get("runtime").or_else(|| stats.get("router")) {
         println!("reuse_ratio: {:.2}", num(runtime, "reuse_ratio"));
-        println!("worker_panics: {}", num(runtime, "worker_panics") as i64);
-        println!(
-            "shed_connections: {}",
-            num(runtime, "shed_connections") as i64
-        );
-        println!("parked: {}", num(runtime, "parked") as i64);
-        println!(
-            "stall_timeouts_closed: {}",
-            num(runtime, "stall_timeouts_closed") as i64
-        );
+        for key in [
+            "worker_panics",
+            "shed_connections",
+            "parked",
+            "stall_timeouts_closed",
+        ] {
+            if let Some(value) = runtime.get(key).and_then(json::Json::as_f64) {
+                println!("{key}: {}", value as i64);
+            }
+        }
     } else {
         println!("reuse_ratio: n/a (server reports no runtime section)");
     }

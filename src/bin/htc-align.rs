@@ -29,53 +29,15 @@ use htc::graph::io::read_network;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// The configuration presets the CLI exposes; parsing the flag validates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Preset {
-    Fast,
-    Small,
-    Paper,
-    Large,
-}
-
-impl Preset {
-    fn parse(name: &str) -> Result<Preset, String> {
-        match name {
-            "fast" => Ok(Preset::Fast),
-            "small" => Ok(Preset::Small),
-            "paper" => Ok(Preset::Paper),
-            "large" => Ok(Preset::Large),
-            other => Err(format!(
-                "unknown preset {other:?} (expected fast|small|paper|large)"
-            )),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Preset::Fast => "fast",
-            Preset::Small => "small",
-            Preset::Paper => "paper",
-            Preset::Large => "large",
-        }
-    }
-
-    fn config(self) -> HtcConfig {
-        match self {
-            Preset::Fast => HtcConfig::fast(),
-            Preset::Small => HtcConfig::small(),
-            Preset::Paper => HtcConfig::paper(),
-            Preset::Large => HtcConfig::large(),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct CliArgs {
     source: PathBuf,
     target: PathBuf,
     output: Option<PathBuf>,
-    preset: Preset,
+    /// The `--preset` name and its configuration before the other flags
+    /// apply (resolving the name at parse time validates it).
+    preset: String,
+    preset_config: HtcConfig,
     orbits: Option<usize>,
     one_to_one: bool,
     seed: Option<u64>,
@@ -95,7 +57,7 @@ fn parse_cli<I: Iterator<Item = String>>(mut args: I) -> Result<CliArgs, String>
     let mut source = None;
     let mut target = None;
     let mut output = None;
-    let mut preset = Preset::Small;
+    let mut preset = "small".to_string();
     let mut orbits = None;
     let mut one_to_one = false;
     let mut seed = None;
@@ -106,9 +68,7 @@ fn parse_cli<I: Iterator<Item = String>>(mut args: I) -> Result<CliArgs, String>
             "--source" => source = args.next().map(PathBuf::from),
             "--target" => target = args.next().map(PathBuf::from),
             "--output" => output = args.next().map(PathBuf::from),
-            "--preset" => {
-                preset = Preset::parse(&args.next().ok_or("--preset needs a value")?)?;
-            }
+            "--preset" => preset = args.next().ok_or("--preset needs a value")?,
             "--orbits" => {
                 orbits = Some(
                     args.next()
@@ -146,6 +106,7 @@ fn parse_cli<I: Iterator<Item = String>>(mut args: I) -> Result<CliArgs, String>
         }
     }
     Ok(CliArgs {
+        preset_config: HtcConfig::preset(&preset)?,
         source: source.ok_or("--source is required")?,
         target: target.ok_or("--target is required")?,
         output,
@@ -161,7 +122,7 @@ fn parse_cli<I: Iterator<Item = String>>(mut args: I) -> Result<CliArgs, String>
 /// Derives the pipeline configuration from the parsed flags, rejecting
 /// out-of-range values (e.g. `--orbits 50`) before any I/O happens.
 fn config_from(args: &CliArgs) -> Result<HtcConfig, String> {
-    let mut config = args.preset.config();
+    let mut config = args.preset_config.clone();
     if let Some(k) = args.orbits {
         config = config.with_num_orbits(k);
     }
@@ -190,7 +151,7 @@ fn json_summary(args: &CliArgs, config: &HtcConfig, result: &htc::core::HtcResul
         "{{\n  \"preset\": \"{}\",\n  \"num_views\": {},\n  \"threads\": {},\n  \
          \"total_seconds\": {:.6},\n  \"stages\": {},\n  \
          \"trusted_counts\": [{}],\n  \"orbit_importance\": [{}]\n}}",
-        args.preset.name(),
+        args.preset,
         config.num_views(),
         htc::linalg::parallel::num_threads(),
         result.timer().total().as_secs_f64(),
@@ -250,7 +211,7 @@ fn main() -> ExitCode {
         source.num_edges(),
         target.num_nodes(),
         target.num_edges(),
-        args.preset.name(),
+        args.preset,
         config.num_views(),
         htc::linalg::parallel::num_threads()
     );

@@ -42,6 +42,7 @@
 //! inline graph can occupy a worker for minutes.  See README.md for the
 //! request format and a curl quickstart.
 
+use htc::core::HtcConfig;
 use htc::serve::{runtime::MAX_WORKERS, FaultPlan, Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -80,11 +81,7 @@ fn parse_cli<I: Iterator<Item = String>>(mut args: I) -> Result<ServeArgs, Strin
             "--addr" => config.addr = value("--addr")?,
             "--preset" => {
                 let name = value("--preset")?;
-                if !matches!(name.as_str(), "fast" | "small" | "paper" | "large") {
-                    return Err(format!(
-                        "unknown preset {name:?} (expected fast|small|paper|large)"
-                    ));
-                }
+                HtcConfig::preset(&name)?;
                 config.default_preset = name;
             }
             "--cache-capacity" => {
