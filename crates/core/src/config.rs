@@ -2,7 +2,6 @@
 
 use crate::error::HtcError;
 use crate::Result;
-use htc_nn::Activation;
 use htc_orbits::{GomWeighting, NUM_EDGE_ORBITS};
 
 /// Upper bound on the number of diffusion views a configuration may ask for
@@ -102,8 +101,6 @@ pub struct HtcConfig {
     /// dimension (which is taken from the attribute matrix).  The last entry
     /// is the embedding dimension `d`.
     pub hidden_dims: Vec<usize>,
-    /// Activation used on every encoder layer.
-    pub activation: Activation,
     /// Adam learning rate `η`.
     pub learning_rate: f64,
     /// Number of training epochs for the multi-orbit-aware stage.
@@ -157,7 +154,6 @@ impl HtcConfig {
                 weighting: GomWeighting::Weighted,
             },
             hidden_dims: vec![200, 200],
-            activation: Activation::Tanh,
             learning_rate: 0.01,
             epochs: 100,
             nearest_neighbors: 20,
@@ -192,7 +188,6 @@ impl HtcConfig {
                 weighting: GomWeighting::Weighted,
             },
             hidden_dims: vec![16, 8],
-            activation: Activation::Tanh,
             learning_rate: 0.02,
             epochs: 15,
             nearest_neighbors: 3,
@@ -217,7 +212,6 @@ impl HtcConfig {
         Self {
             topology: TopologyMode::LowOrderOnly,
             hidden_dims: vec![64, 32],
-            activation: Activation::Tanh,
             learning_rate: 0.01,
             epochs: 20,
             nearest_neighbors: 10,

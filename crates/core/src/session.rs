@@ -495,13 +495,6 @@ impl OrbitRefinements {
     pub fn importance(&self) -> Vec<f64> {
         orbit_importance(&self.trusted_counts())
     }
-
-    fn into_embeddings(self) -> Vec<(DenseMatrix, DenseMatrix)> {
-        self.refinements
-            .into_iter()
-            .map(|r| (r.source_embedding, r.target_embedding))
-            .collect()
-    }
 }
 
 /// Applies the configured input augmentation to a network.
@@ -542,6 +535,65 @@ fn run_stage<R>(
         obs.on_stage_end(stage, elapsed);
     }
     Ok((result, elapsed))
+}
+
+/// Stage 1 for one graph: builds the topology views of `network`, timed as
+/// the orbit-counting stage when the mode counts orbits (the returned
+/// duration).  The ablation modes just borrow the adjacency here and record
+/// no stage; their real work happens in the Laplacian stage, mirroring the
+/// monolithic pipeline's stage accounting.
+fn views_stage(
+    observer: Option<&Arc<dyn ProgressObserver>>,
+    timer: &mut StageTimer,
+    network: &AttributedNetwork,
+    config: &HtcConfig,
+) -> Result<(TopologyViews, Option<Duration>)> {
+    if !TopologyViews::counts_orbits(config) {
+        return Ok((TopologyViews::build(network, config), None));
+    }
+    let (views, elapsed) = run_stage(observer, timer, stages::ORBIT_COUNTING, || {
+        Ok(TopologyViews::build(network, config))
+    })?;
+    Ok((views, Some(elapsed)))
+}
+
+/// Stage 5 plus result assembly: derives the importance weights γ (Eq. 15)
+/// from the refinements' trusted-pair counts, runs the timed integration and
+/// packs the [`HtcResult`], keeping the refined embeddings when configured.
+fn integrate_stage(
+    observer: Option<&Arc<dyn ProgressObserver>>,
+    mut timer: StageTimer,
+    config: &HtcConfig,
+    refinements: Vec<OrbitRefinement>,
+    loss_history: Vec<f64>,
+    source_nodes: usize,
+    target_nodes: usize,
+) -> Result<HtcResult> {
+    let trusted_counts: Vec<usize> = refinements.iter().map(|r| r.trusted_count).collect();
+    let gamma = orbit_importance(&trusted_counts);
+    let (alignment, _) = run_stage(observer, &mut timer, stages::INTEGRATION, || {
+        Ok(integrate_refinements_artifact(
+            config,
+            &refinements,
+            &gamma,
+            source_nodes,
+            target_nodes,
+        ))
+    })?;
+    let embeddings = config.keep_embeddings.then(|| {
+        refinements
+            .into_iter()
+            .map(|r| (r.source_embedding, r.target_embedding))
+            .collect()
+    });
+    Ok(HtcResult::from_parts(
+        alignment,
+        gamma,
+        trusted_counts,
+        loss_history,
+        timer,
+        embeddings,
+    ))
 }
 
 /// A reusable alignment session anchored on one **source** graph.
@@ -668,35 +720,24 @@ impl AlignmentSession {
         if let Some(views) = &self.source_views {
             return Ok((views.clone(), None));
         }
-        let mut spent = None;
-        let views = if TopologyViews::counts_orbits(&self.config) {
-            let (views, elapsed) = run_stage(
-                self.observer.as_ref(),
-                &mut self.timer,
-                stages::ORBIT_COUNTING,
-                || Ok(TopologyViews::build(&self.source, &self.config)),
-            )?;
-            spent = Some(elapsed);
-            views
-        } else {
-            // The ablation modes just borrow the adjacency here; the real work
-            // happens in the Laplacian stage (mirroring the monolithic
-            // pipeline's stage accounting).
-            TopologyViews::build(&self.source, &self.config)
-        };
+        let (views, spent) = views_stage(
+            self.observer.as_ref(),
+            &mut self.timer,
+            &self.source,
+            &self.config,
+        )?;
         let views = Arc::new(views);
         self.source_views = Some(views.clone());
         Ok((views, spent))
     }
 
-    /// Returns the (cached) source propagators plus the time just spent.
-    fn ensure_source_propagators(
-        &mut self,
-    ) -> Result<(Arc<Propagators>, Option<Duration>, Option<Duration>)> {
+    /// Returns the (cached) source propagators plus the time just spent
+    /// building them (`None` when served from cache).
+    fn ensure_source_propagators(&mut self) -> Result<(Arc<Propagators>, Option<Duration>)> {
         if let Some(props) = &self.source_propagators {
-            return Ok((props.clone(), None, None));
+            return Ok((props.clone(), None));
         }
-        let (views, counting_spent) = self.ensure_source_views()?;
+        let (views, _) = self.ensure_source_views()?;
         let (props, elapsed) = run_stage(
             self.observer.as_ref(),
             &mut self.timer,
@@ -705,7 +746,7 @@ impl AlignmentSession {
         )?;
         let props = Arc::new(props);
         self.source_propagators = Some(props.clone());
-        Ok((props, counting_spent, Some(elapsed)))
+        Ok((props, Some(elapsed)))
     }
 
     /// Stage 1 for the source: topology views (orbit counting), computed once
@@ -750,7 +791,7 @@ impl AlignmentSession {
         if let Some(encoder) = &self.shared_encoder {
             return Ok(encoder.clone());
         }
-        let (props, _, _) = self.ensure_source_propagators()?;
+        let (props, _) = self.ensure_source_propagators()?;
         let observer = self.observer.clone();
         let epochs = self.config.epochs;
         let source = &self.source;
@@ -943,14 +984,7 @@ fn align_with_shared_encoder(
 ) -> Result<HtcResult> {
     let target = prepare(raw_target, config);
     let mut timer = StageTimer::new();
-    let target_views = if TopologyViews::counts_orbits(config) {
-        run_stage(observer, &mut timer, stages::ORBIT_COUNTING, || {
-            Ok(TopologyViews::build(&target, config))
-        })?
-        .0
-    } else {
-        TopologyViews::build(&target, config)
-    };
+    let (target_views, _) = views_stage(observer, &mut timer, &target, config)?;
     let (target_propagators, _) = run_stage(observer, &mut timer, stages::LAPLACIAN, || {
         Ok(Propagators::build(&target_views))
     })?;
@@ -966,37 +1000,15 @@ fn align_with_shared_encoder(
             observer,
         )
     })?;
-
-    let trusted_counts: Vec<usize> = refinements.iter().map(|r| r.trusted_count).collect();
-    let gamma = orbit_importance(&trusted_counts);
-    let (alignment, _) = run_stage(observer, &mut timer, stages::INTEGRATION, || {
-        Ok(integrate_refinements_artifact(
-            config,
-            &refinements,
-            &gamma,
-            source.num_nodes(),
-            target.num_nodes(),
-        ))
-    })?;
-
-    let embeddings = if config.keep_embeddings {
-        Some(
-            refinements
-                .into_iter()
-                .map(|r| (r.source_embedding, r.target_embedding))
-                .collect(),
-        )
-    } else {
-        None
-    };
-    Ok(HtcResult::from_parts(
-        alignment,
-        gamma,
-        trusted_counts,
-        encoder.loss_history().to_vec(),
+    integrate_stage(
+        observer,
         timer,
-        embeddings,
-    ))
+        config,
+        refinements,
+        encoder.loss_history().to_vec(),
+        source.num_nodes(),
+        target.num_nodes(),
+    )
 }
 
 /// Stage 4 over every orbit: refinements run as coarse tasks on the shared
@@ -1153,19 +1165,12 @@ impl<'s> PairAlignment<'s> {
             self.source_views = Some(views);
         }
         if self.target_views.is_none() {
-            let target = &self.target;
-            let config = &self.session.config;
-            let views = if TopologyViews::counts_orbits(config) {
-                run_stage(
-                    self.session.observer.as_ref(),
-                    &mut self.timer,
-                    stages::ORBIT_COUNTING,
-                    || Ok(TopologyViews::build(target, config)),
-                )?
-                .0
-            } else {
-                TopologyViews::build(target, config)
-            };
+            let (views, _) = views_stage(
+                self.session.observer.as_ref(),
+                &mut self.timer,
+                &self.target,
+                &self.session.config,
+            )?;
             self.target_views = Some(views);
         }
         Ok(())
@@ -1183,7 +1188,7 @@ impl<'s> PairAlignment<'s> {
     fn ensure_propagators(&mut self) -> Result<()> {
         self.ensure_views()?;
         if self.source_propagators.is_none() {
-            let (props, _, spent) = self.session.ensure_source_propagators()?;
+            let (props, spent) = self.session.ensure_source_propagators()?;
             if let Some(d) = spent {
                 self.timer.record(stages::LAPLACIAN, d);
             }
@@ -1286,39 +1291,14 @@ impl<'s> PairAlignment<'s> {
         self.ensure_refined()?;
         let refinements = self.refinements.take().expect("just ensured");
         let trained = self.trained.take().expect("refined implies trained");
-        let trusted_counts = refinements.trusted_counts();
-        let gamma = orbit_importance(&trusted_counts);
-        let source_nodes = self.session.source.num_nodes();
-        let target_nodes = self.target.num_nodes();
-        let config = &self.session.config;
-        let (alignment, _) = run_stage(
+        integrate_stage(
             self.session.observer.as_ref(),
-            &mut self.timer,
-            stages::INTEGRATION,
-            || {
-                Ok(integrate_refinements_artifact(
-                    config,
-                    refinements.refinements(),
-                    &gamma,
-                    source_nodes,
-                    target_nodes,
-                ))
-            },
-        )?;
-
-        let embeddings = if self.session.config.keep_embeddings {
-            Some(refinements.into_embeddings())
-        } else {
-            None
-        };
-        let TrainedEncoder { loss_history, .. } = trained;
-        Ok(HtcResult::from_parts(
-            alignment,
-            gamma,
-            trusted_counts,
-            loss_history,
             self.timer,
-            embeddings,
-        ))
+            &self.session.config,
+            refinements.refinements,
+            trained.loss_history,
+            self.session.source.num_nodes(),
+            self.target.num_nodes(),
+        )
     }
 }

@@ -14,8 +14,8 @@ use crate::Result;
 use htc_linalg::{CsrMatrix, DenseMatrix};
 use htc_nn::NodeBatch;
 use htc_nn::{
-    loss::reconstruction_loss_and_grad_into, Adam, BackwardScratch, ForwardCache, GcnEncoder,
-    LossScratch,
+    loss::reconstruction_loss_and_grad_into, Activation, Adam, BackwardScratch, ForwardCache,
+    GcnEncoder, LossScratch,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -112,7 +112,8 @@ fn train_over_passes(
     let mut dims = Vec::with_capacity(config.hidden_dims.len() + 1);
     dims.push(input_dim);
     dims.extend_from_slice(&config.hidden_dims);
-    let mut encoder = GcnEncoder::new(&dims, config.activation, &mut rng);
+    // Every layer uses tanh, the paper's GCN nonlinearity.
+    let mut encoder = GcnEncoder::new(&dims, Activation::Tanh, &mut rng);
     let mut optimizer = Adam::for_parameters(config.learning_rate, encoder.weights());
 
     // All per-product buffers are hoisted out of the epoch loop: after the

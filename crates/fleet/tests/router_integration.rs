@@ -382,7 +382,8 @@ fn fleet_drain_stops_router_and_releases_clients() {
 /// returns every error response as `(status, body)`, in order, so hops can
 /// be compared: back-to-back and pipelined requests, `404`/`405`, a
 /// malformed request (400, then close) that does not poison the worker,
-/// oversized head and body (431/413, then close), idle reaping after the
+/// oversized head and body (431/413, then close), refused request framings
+/// (chunked, conflicting or signed lengths), idle reaping after the
 /// front end's 400 ms keep-alive window, and `Connection: close`.
 fn http_edge_cases(addr: SocketAddr) -> Vec<(u16, String)> {
     let mut errors = Vec::new();
@@ -447,6 +448,36 @@ fn http_edge_cases(addr: SocketAddr) -> Vec<(u16, String)> {
         .unwrap();
     record(client.read().unwrap(), 413);
     assert!(client.closed());
+
+    // Request framings the parser cannot honour exactly are refused with a
+    // parse error (`kind: "http"`, then close) instead of being read some
+    // other way than a front proxy may have read them: a chunked body (411),
+    // two differing Content-Length headers, and a signed Content-Length.
+    let framings: [(&[u8], u16); 3] = [
+        (
+            b"POST /align HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            411,
+        ),
+        (
+            b"POST /align HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\nContent-Length: 2\r\n\r\n{}",
+            400,
+        ),
+        (
+            b"POST /align HTTP/1.1\r\nHost: test\r\nContent-Length: +2\r\n\r\n{}",
+            400,
+        ),
+    ];
+    for (request, status) in framings {
+        let mut client = Client::connect(addr).unwrap();
+        client.stream_mut().write_all(request).unwrap();
+        let response = client.read().unwrap();
+        let kind = json::parse(response.body_str())
+            .ok()
+            .and_then(|body| body.get("kind").and_then(Json::as_str).map(str::to_string));
+        assert_eq!(kind.as_deref(), Some("http"), "{}", response.body_str());
+        record(response, status);
+        assert!(client.closed(), "connection closes after a refused framing");
+    }
 
     // Idle timeout: a connection parked past the keep-alive window is
     // closed by the server.

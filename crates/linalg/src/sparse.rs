@@ -8,7 +8,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
-use crate::parallel::{parallel_map, parallel_rows_mut};
+use crate::parallel::parallel_rows_mut;
 use crate::Result;
 
 /// An immutable sparse matrix in compressed-sparse-row format.
@@ -305,69 +305,6 @@ impl CsrMatrix {
             }
         });
         Ok(())
-    }
-
-    /// Sparse × sparse product `self * rhs` (SpGEMM), parallelised over
-    /// output rows.
-    ///
-    /// Each output row merges the `rhs` rows selected by its non-zeros: the
-    /// partial products are gathered in CSR traversal (ascending `k`) order,
-    /// stably sorted by output column and summed left to right.  The
-    /// accumulation order of every output element is therefore a fixed
-    /// function of the operands, so results are bit-identical for every
-    /// thread count.  Structural non-zeros are kept even when their value
-    /// sums to exactly zero, matching the usual SpGEMM convention.
-    ///
-    /// Cost is `O(flops · log(row flops))` with `flops = Σ_{(i,k)∈self}
-    /// nnz(rhs row k)` — no dense accumulator is allocated, so squaring a
-    /// sparse adjacency matrix stays `O(e · D)` rather than `O(n²)`.
-    pub fn matmul_sparse(&self, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "csr matmul_sparse",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let merged: Vec<(Vec<usize>, Vec<f64>)> = parallel_map(self.rows, |r| {
-            let mut products: Vec<(usize, f64)> = Vec::new();
-            for (k, a) in self.row(r) {
-                for (j, b) in rhs.row(k) {
-                    products.push((j, a * b));
-                }
-            }
-            // Stable sort: equal columns keep their ascending-`k` gather
-            // order, fixing the summation order below.
-            products.sort_by_key(|&(j, _)| j);
-            let mut cols = Vec::new();
-            let mut vals: Vec<f64> = Vec::new();
-            for (j, p) in products {
-                if cols.last() == Some(&j) {
-                    *vals.last_mut().expect("cols and vals grow together") += p;
-                } else {
-                    cols.push(j);
-                    vals.push(p);
-                }
-            }
-            (cols, vals)
-        });
-        let nnz = merged.iter().map(|(c, _)| c.len()).sum();
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for (c, v) in merged {
-            indices.extend(c);
-            values.extend(v);
-            indptr.push(indices.len());
-        }
-        Ok(CsrMatrix {
-            rows: self.rows,
-            cols: rhs.cols,
-            indptr,
-            indices,
-            values,
-        })
     }
 
     /// Sparse × vector product.
@@ -709,47 +646,6 @@ mod tests {
             }
         }
         assert!(fast.approx_eq(&reference, 1e-12));
-    }
-
-    #[test]
-    fn matmul_sparse_matches_dense_product() {
-        let a = sample();
-        let b =
-            CsrMatrix::from_triplets(3, 4, &[(0, 1, 2.0), (0, 3, -1.0), (1, 0, 0.5), (2, 2, 4.0)])
-                .unwrap();
-        let product = a.matmul_sparse(&b).unwrap();
-        assert_eq!(product.shape(), (3, 4));
-        let reference = a.to_dense().matmul(&b.to_dense()).unwrap();
-        assert!(product.to_dense().approx_eq(&reference, 0.0));
-        // Rows come out with sorted columns (CSR invariant).
-        for r in 0..3 {
-            let cols: Vec<usize> = product.row(r).map(|(c, _)| c).collect();
-            assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn adjacency_square_counts_common_neighbors() {
-        // Path 0-1-2-3: (A²)(u, v) is the number of common neighbours for
-        // u ≠ v — the triangle kernel of sparse-aware orbit counting.
-        let edges = [(0, 1), (1, 2), (2, 3)];
-        let mut triplets = Vec::new();
-        for &(u, v) in &edges {
-            triplets.push((u, v, 1.0));
-            triplets.push((v, u, 1.0));
-        }
-        let a = CsrMatrix::from_triplets(4, 4, &triplets).unwrap();
-        let a2 = a.matmul_sparse(&a).unwrap();
-        assert_eq!(a2.get(0, 2), 1.0); // via node 1
-        assert_eq!(a2.get(0, 3), 0.0);
-        assert_eq!(a2.get(1, 1), 2.0); // degree on the diagonal
-    }
-
-    #[test]
-    fn matmul_sparse_rejects_shape_mismatch() {
-        let a = sample();
-        let b = CsrMatrix::zeros(4, 2);
-        assert!(a.matmul_sparse(&b).is_err());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * orbit 0 is always 1 (the edge itself);
 //! * orbits 1–2 (two-edge chain, triangle) follow analytically from the
-//!   degrees and the common-neighbour count;
+//!   degrees and the common-neighbour count, found by intersecting the two
+//!   endpoints' sorted adjacency lists;
 //! * orbits 3–12 are obtained by enumerating every connected induced 4-node
 //!   subgraph containing `(u, v)` exactly once and classifying it with
 //!   [`crate::orbit::classify_edge_in_four`].
@@ -21,28 +22,10 @@
 //! The cost is `O(e · D²)` in the worst case — the same asymptotic complexity
 //! as the Orca algorithm the paper relies on — and the work is parallelised
 //! over edges.
-//!
-//! # Sparse-aware 3-node stage
-//!
-//! Below [`SPARSE_DENSITY_THRESHOLD`] the per-edge common-neighbour
-//! intersections of the 3-node stage are replaced by a single CSR product
-//! `A²` (see [`CsrMatrix::matmul_sparse`]): `A²(u, v)` *is* the
-//! common-neighbour count of `(u, v)`, so one shared sparse product amortises
-//! the triangle work across all edges instead of re-intersecting adjacency
-//! lists edge by edge.  Both paths produce identical counts — the dispatch
-//! in [`count_edge_orbits`] is purely a performance decision, and a test
-//! pins the equivalence on random graphs.
 
 use crate::orbit::{classify_edge_in_four, EdgeOrbit, NUM_EDGE_ORBITS};
 use htc_graph::Graph;
 use htc_linalg::parallel::parallel_map;
-use htc_linalg::CsrMatrix;
-
-/// Edge density `2e / (n(n-1))` below which [`count_edge_orbits`] switches
-/// the 3-node stage to the shared `A²` CSR product.  Large-tier inputs
-/// (social / co-author networks) sit far below this; small dense toys keep
-/// the allocation-free per-edge intersections.
-pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.05;
 
 /// Per-edge orbit counts for a whole graph.
 ///
@@ -89,66 +72,13 @@ impl EdgeOrbitCounts {
     }
 }
 
-/// Counts the 13 edge orbits for every edge of `graph`, choosing the
-/// 3-node strategy by edge density (see [`SPARSE_DENSITY_THRESHOLD`]).
+/// Counts the 13 edge orbits for every edge of `graph`, in parallel over
+/// edges.
 pub fn count_edge_orbits(graph: &Graph) -> EdgeOrbitCounts {
-    if graph_density(graph) < SPARSE_DENSITY_THRESHOLD {
-        count_edge_orbits_sparse(graph)
-    } else {
-        count_edge_orbits_enumerated(graph)
-    }
-}
-
-/// Edge density `2e / (n(n-1))`; 0 for graphs with fewer than two nodes.
-fn graph_density(graph: &Graph) -> f64 {
-    let n = graph.num_nodes();
-    if n < 2 {
-        return 0.0;
-    }
-    (2 * graph.num_edges()) as f64 / (n * (n - 1)) as f64
-}
-
-/// The fully enumerated counter: per-edge adjacency-list intersections for
-/// the 3-node orbits, 4-node enumeration for the rest.
-pub fn count_edge_orbits_enumerated(graph: &Graph) -> EdgeOrbitCounts {
     let edges = graph.edges().to_vec();
     let edge_counts = parallel_map(edges.len(), |i| {
         let (u, v) = edges[i];
         count_single_edge(graph, u, v)
-    });
-    EdgeOrbitCounts { edges, edge_counts }
-}
-
-/// The sparse-aware counter: triangle counts come from one shared CSR
-/// product `A²` instead of per-edge intersections; the 4-node enumeration
-/// is unchanged.  Produces counts identical to
-/// [`count_edge_orbits_enumerated`].
-pub fn count_edge_orbits_sparse(graph: &Graph) -> EdgeOrbitCounts {
-    let edges = graph.edges().to_vec();
-    let n = graph.num_nodes();
-    let mut triplets = Vec::with_capacity(2 * edges.len());
-    for &(u, v) in &edges {
-        triplets.push((u, v, 1.0));
-        triplets.push((v, u, 1.0));
-    }
-    let adjacency = CsrMatrix::from_triplets(n, n, &triplets)
-        .expect("edge indices come from a validated graph");
-    let squared = adjacency
-        .matmul_sparse(&adjacency)
-        .expect("A is square, so A·A shapes agree");
-    let edge_counts = parallel_map(edges.len(), |i| {
-        let (u, v) = edges[i];
-        let mut counts = [0u64; NUM_EDGE_ORBITS];
-        counts[EdgeOrbit::PlainEdge.index()] = 1;
-        // A²(u, v) sums 1·1 over exactly the common neighbours of u and v:
-        // an integer-valued f64, exact well past any reachable graph size.
-        let triangles = squared.get(u, v) as u64;
-        let du = graph.degree(u) as u64;
-        let dv = graph.degree(v) as u64;
-        counts[EdgeOrbit::TriangleEdge.index()] = triangles;
-        counts[EdgeOrbit::ChainEdge.index()] = (du - 1 - triangles) + (dv - 1 - triangles);
-        count_four_node_orbits(graph, u, v, &mut counts);
-        counts
     });
     EdgeOrbitCounts { edges, edge_counts }
 }
@@ -167,12 +97,6 @@ pub fn count_single_edge(graph: &Graph, u: usize, v: usize) -> [u64; NUM_EDGE_OR
     // Nodes adjacent to exactly one endpoint form a two-edge chain with (u,v).
     counts[EdgeOrbit::ChainEdge.index()] = (du - 1 - triangles) + (dv - 1 - triangles);
 
-    count_four_node_orbits(graph, u, v, &mut counts);
-    counts
-}
-
-/// Adds the 4-node orbit counts (orbits 3–12) of edge `(u, v)` to `counts`.
-fn count_four_node_orbits(graph: &Graph, u: usize, v: usize, counts: &mut [u64; NUM_EDGE_ORBITS]) {
     // --- 4-node graphlets (enumeration) ----------------------------------
     // Joint neighbourhood W = (N(u) ∪ N(v)) \ {u, v}, sorted and deduplicated.
     let mut joint: Vec<usize> = graph
@@ -219,6 +143,7 @@ fn count_four_node_orbits(graph: &Graph, u: usize, v: usize, counts: &mut [u64; 
             classify(w, x);
         }
     }
+    counts
 }
 
 #[cfg(test)]
@@ -343,46 +268,6 @@ mod tests {
         assert_eq!(sig[1][EdgeOrbit::PlainEdge.index()], 2);
         assert_eq!(sig[0][EdgeOrbit::PlainEdge.index()], 1);
         assert_eq!(sig[1][EdgeOrbit::ChainEdge.index()], 2);
-    }
-
-    #[test]
-    fn sparse_and_enumerated_paths_are_identical() {
-        use htc_graph::generators::{erdos_renyi_gnm, seeded_rng};
-        for (seed, nodes, edges) in [(7, 30, 45), (13, 50, 120), (29, 25, 160)] {
-            let mut rng = seeded_rng(seed);
-            let g = erdos_renyi_gnm(nodes, edges, &mut rng);
-            assert_eq!(
-                count_edge_orbits_sparse(&g),
-                count_edge_orbits_enumerated(&g),
-                "paths diverged on G({nodes}, {edges}) seed {seed}"
-            );
-        }
-        for g in [
-            Graph::complete(5),
-            Graph::path(6),
-            Graph::star(5),
-            Graph::cycle(7),
-        ] {
-            assert_eq!(
-                count_edge_orbits_sparse(&g),
-                count_edge_orbits_enumerated(&g)
-            );
-        }
-    }
-
-    #[test]
-    fn dispatch_agrees_with_both_paths_across_the_threshold() {
-        // Sparse side: 40 nodes, 30 edges → density ≈ 0.038 < 0.05.
-        use htc_graph::generators::{erdos_renyi_gnm, seeded_rng};
-        let mut rng = seeded_rng(3);
-        let sparse = erdos_renyi_gnm(40, 30, &mut rng);
-        assert_eq!(
-            count_edge_orbits(&sparse),
-            count_edge_orbits_enumerated(&sparse)
-        );
-        // Dense side: K5 has density 1.
-        let dense = Graph::complete(5);
-        assert_eq!(count_edge_orbits(&dense), count_edge_orbits_sparse(&dense));
     }
 
     #[test]

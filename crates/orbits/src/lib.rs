@@ -15,7 +15,8 @@
 //!
 //! * [`orbit`] — the orbit taxonomy, graphlet classification and the
 //!   per-subgraph edge-orbit classifier;
-//! * [`counting`] — the production counter: analytic 3-node counts plus an
+//! * [`counting`] — the production counter, one path for every graph:
+//!   analytic 3-node counts from per-edge adjacency intersections plus an
 //!   `O(e·D²)` enumeration of connected 4-node subgraphs (the same asymptotic
 //!   cost as the Orca algorithm used by the paper);
 //! * [`brute`] — a brute-force reference counter used as the test oracle;
@@ -27,8 +28,6 @@ pub mod counting;
 pub mod gom;
 pub mod orbit;
 
-pub use counting::{
-    count_edge_orbits, count_edge_orbits_enumerated, count_edge_orbits_sparse, EdgeOrbitCounts,
-};
+pub use counting::{count_edge_orbits, EdgeOrbitCounts};
 pub use gom::{GomSet, GomWeighting};
 pub use orbit::{EdgeOrbit, Graphlet, NUM_EDGE_ORBITS};

@@ -335,9 +335,11 @@ pub fn read_request_limited(
 
     // Headers until the blank line; Content-Length and Connection matter to
     // us.  The whole head shares the MAX_HEAD_BYTES budget, checked before
-    // buffering.
+    // buffering.  Only a `Content-Length` body is read: a request framed any
+    // other way, or by lengths that disagree, is refused rather than read
+    // differently from how a front proxy may have read it.
     let mut head_budget = MAX_HEAD_BYTES.saturating_sub(request_line.len());
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = !http_10;
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
@@ -349,10 +351,17 @@ pub fn read_request_limited(
         }
         if let Some((name, value)) = trimmed.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| ServeError::http(400, "bad Content-Length"))?;
+                let length = parse_digits(value.trim(), 10)
+                    .ok_or_else(|| ServeError::http(400, "bad Content-Length"))?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(ServeError::http(400, "conflicting Content-Length headers"));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(ServeError::http(
+                    411,
+                    "Transfer-Encoding request bodies are not supported; send Content-Length",
+                ));
             } else if name.eq_ignore_ascii_case("connection") {
                 let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
@@ -366,6 +375,7 @@ pub fn read_request_limited(
             headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ServeError::http(
             413,
@@ -402,6 +412,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         409 => "Conflict",
+        411 => "Length Required",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
@@ -412,6 +423,22 @@ fn status_text(status: u16) -> &'static str {
         504 => "Gateway Timeout",
         _ => "Response",
     }
+}
+
+/// Parses a non-empty run of ASCII digits in `radix` and nothing else: a
+/// length or chunk size on the wire.  `usize::from_str_radix` alone would
+/// also take a leading `+`.
+fn parse_digits(digits: &str, radix: u32) -> Option<usize> {
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    usize::from_str_radix(digits, radix).ok()
+}
+
+/// The size on a chunk-size line of a chunked body: hex digits only (chunk
+/// extensions are not supported).
+fn chunk_size(line: &str) -> Option<usize> {
+    parse_digits(line.trim(), 16)
 }
 
 /// Whether an I/O error is a progress stall (a read/write timeout fired
@@ -815,8 +842,8 @@ pub fn read_client_response_deadline(
     if chunked {
         loop {
             let size_line = read_line_deadline(reader, deadline)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+            let size =
+                chunk_size(&size_line).ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
             // Bound the declared size before allocating for it.
             let total = body.len().checked_add(size);
             if total.is_none_or(|total| total > MAX_BODY_BYTES) {
@@ -910,7 +937,7 @@ fn head_is_chunked(head: &ResponseHead) -> bool {
 
 fn head_content_length(head: &ResponseHead) -> Result<usize, String> {
     head.header("content-length")
-        .and_then(|v| v.parse().ok())
+        .and_then(|v| parse_digits(v, 10))
         .ok_or_else(|| "response has neither Content-Length nor chunked encoding".into())
 }
 
@@ -1000,7 +1027,7 @@ pub fn relay_response(
         loop {
             let size_line = read_line_deadline(upstream, deadline).map_err(RelayError::Upstream)?;
             let bad_size = || RelayError::Upstream(format!("bad chunk size {size_line:?}"));
-            let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| bad_size())?;
+            let size = chunk_size(&size_line).ok_or_else(bad_size)?;
             // The chunk and its trailing CRLF; the zero-length terminator
             // carries just the CRLF.
             let framed = size.checked_add(2).ok_or_else(bad_size)?;
@@ -1077,5 +1104,19 @@ mod tests {
         let huge = response(&[("retry-after", &u64::MAX.to_string())], "");
         assert_eq!(huge.retry_after_ms(), Some(u64::MAX));
         assert_eq!(response(&[], "not json").retry_after_ms(), None);
+    }
+
+    #[test]
+    fn chunk_sizes_are_hex_digits_only() {
+        assert_eq!(chunk_size("1a\r\n"), Some(26));
+        assert_eq!(chunk_size("0\r\n"), Some(0));
+        assert_eq!(chunk_size("FF"), Some(255));
+        for bad in ["+5\r\n", "-1", "\r\n", "5;ext=1", "0x10", "g"] {
+            assert_eq!(chunk_size(bad), None, "{bad:?}");
+        }
+        // More digits than a usize holds is an error, not a wrap-around.
+        assert_eq!(chunk_size(&"f".repeat(17)), None);
+        assert_eq!(parse_digits("+5", 10), None);
+        assert_eq!(parse_digits("42", 10), Some(42));
     }
 }

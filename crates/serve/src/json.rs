@@ -334,10 +334,15 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| {
+                                    format!("bad \\u escape {:?}", String::from_utf8_lossy(hex))
+                                })?;
                             self.pos += 4;
                             // Surrogate pairs are not needed by this server's
                             // payloads; map lone surrogates to U+FFFD.
@@ -565,6 +570,14 @@ mod tests {
             "[1]]",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse("\"\\u007f\"").unwrap().as_str(), Some("\u{7f}"));
+        for bad in ["\"\\u+07f\"", "\"\\u-07f\"", "\"\\u 07f\"", "\"\\u07\""] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
         }
     }
 

@@ -9,6 +9,7 @@ use htc::core::{
     TopologyViews, TrainedEncoder,
 };
 use htc::datasets::{generate_pair, DatasetPair, SyntheticPairConfig};
+use htc::metrics::StageTimer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -23,6 +24,14 @@ fn fast_config() -> HtcConfig {
     let mut config = HtcConfig::fast();
     config.epochs = 10;
     config
+}
+
+/// Every recorded stage with its occurrence count, in recording order.
+fn stage_counts(timer: &StageTimer) -> Vec<(&str, usize)> {
+    timer
+        .stages()
+        .map(|(name, _)| (name, timer.count(name)))
+        .collect()
 }
 
 fn assert_bit_identical(a: &HtcResult, b: &HtcResult) {
@@ -191,9 +200,26 @@ fn ablation_variants_run_end_to_end_through_sessions() {
             .unwrap();
         assert_bit_identical(&monolithic, &result);
 
+        // Only the orbit modes time a counting stage; the others borrow the
+        // adjacency and do their work in the Laplacian stage.  A fresh
+        // pairwise run builds both graphs' views; a served run builds only
+        // the target's and trains nothing (the session holds that stage).
+        let counting = matches!(variant, HtcVariant::HighOrder | HtcVariant::Full);
+        let mut pairwise = vec![(stages::LAPLACIAN, 2), (stages::TRAINING, 1)];
+        let mut serving = vec![(stages::LAPLACIAN, 1)];
+        if counting {
+            pairwise.insert(0, (stages::ORBIT_COUNTING, 2));
+            serving.insert(0, (stages::ORBIT_COUNTING, 1));
+        }
+        for list in [&mut pairwise, &mut serving] {
+            list.extend([(stages::FINE_TUNING, 1), (stages::INTEGRATION, 1)]);
+        }
+        assert_eq!(stage_counts(result.timer()), pairwise, "{}", variant.name());
+
         // The serving path works for every variant too.
         let served = session.align_shared(&pair.target).unwrap();
         assert_eq!(served.alignment().shape(), (14, 14), "{}", variant.name());
+        assert_eq!(stage_counts(served.timer()), serving, "{}", variant.name());
         assert_eq!(
             session.timer().count(stages::TRAINING),
             1,
